@@ -11,13 +11,17 @@
 //!   machines without hardware thread parallelism.
 //! * `optimized` — the tuned single-threaded [`OnlineAnalyzer`]
 //!   (FxHash, inline scratch, single-probe record).
-//! * `pipeline` × dispatch ∈ {broadcast, routed, routed_split} × shards
-//!   × routers — the threaded [`IngestPipeline`]. Broadcast re-derives
-//!   each shard's partition on the shard (N× total CPU); routed computes
-//!   each transaction's pair set once and ships per-shard work lists;
-//!   routed_split additionally deals hot pairs round-robin. The router
-//!   sweep scales the routing stage itself: R parallel routers each
-//!   handle the 1/R round-robin slice of the batch sequence.
+//! * `pipeline` × mode ∈ {routed, routed_split} × shards × routers — the
+//!   threaded [`IngestPipeline`]. Routed computes each transaction's
+//!   pair set once and ships per-shard work lists; routed_split
+//!   additionally deals hot pairs round-robin. The router sweep scales
+//!   the routing stage itself: R parallel routers each handle the 1/R
+//!   round-robin slice of the batch sequence.
+//! * per-shard partitioning — every shard of a sequential
+//!   [`ShardedAnalyzer`] timed alone running `process_partition` over
+//!   the full stream, re-deduplicating and re-hashing it to keep its
+//!   1/N share (N× total CPU). This is the "broadcast" side of the
+//!   routed-vs-broadcast acceptance figures.
 //!
 //! For each pipeline config three quantities are measured separately:
 //!
@@ -82,10 +86,9 @@ use rtdac_bench::experiments::fig15_sketch::{analyzer_config_for, BUDGET_SLACK};
 use rtdac_bench::support::banner;
 use rtdac_bench::sweep::{self, env_or, json_u64_array, median, percentile, percentile_u64, Gate};
 use rtdac_monitor::{
-    blktrace, replay, BlktraceEventSource, ControllerConfig, Dispatch, IngestPipeline,
-    MonitorConfig, PipelineConfig, ReplayPacing, ResizeEvent, RoutedBatch, Router, RouterConfig,
-    SplitConfig, TenantRuntime, TenantRuntimeConfig, WorkList, DEFAULT_CHUNK_BYTES,
-    DEFAULT_MAX_INFLIGHT,
+    blktrace, replay, BlktraceEventSource, ControllerConfig, IngestPipeline, MonitorConfig,
+    PipelineConfig, ReplayPacing, ResizeEvent, RoutedBatch, Router, RouterConfig, SplitConfig,
+    TenantRuntime, TenantRuntimeConfig, WorkList, DEFAULT_CHUNK_BYTES, DEFAULT_MAX_INFLIGHT,
 };
 use rtdac_synopsis::{
     Admission, AnalyzerConfig, LiveView, MapTable, OnlineAnalyzer, ReferenceAnalyzer, ShardDelta,
@@ -131,6 +134,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOC: CountingAllocator = CountingAllocator;
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Shard counts timed for per-shard partitioning: the 8-shard total-CPU
+/// and 4-shard critical-path acceptance figures compare against them.
+const BROADCAST_SHARDS: [usize; 2] = [4, 8];
 const ROUTER_SWEEP: [usize; 3] = [1, 2, 4];
 const BATCH_SIZE: usize = 64;
 const RING_CAPACITY: usize = 64;
@@ -218,7 +224,6 @@ fn split_config() -> SplitConfig {
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    Broadcast,
     Routed,
     RoutedSplit,
 }
@@ -226,28 +231,20 @@ enum Mode {
 impl Mode {
     fn name(self) -> &'static str {
         match self {
-            Mode::Broadcast => "broadcast",
             Mode::Routed => "routed",
             Mode::RoutedSplit => "routed_split",
         }
     }
 
-    fn dispatch(self) -> Dispatch {
+    fn split(self) -> Option<SplitConfig> {
         match self {
-            Mode::Broadcast => Dispatch::Broadcast,
-            Mode::Routed => Dispatch::Routed { split: None },
-            Mode::RoutedSplit => Dispatch::Routed {
-                split: Some(split_config()),
-            },
+            Mode::Routed => None,
+            Mode::RoutedSplit => Some(split_config()),
         }
     }
 
     fn router_config(self, shards: usize) -> RouterConfig {
-        match self {
-            Mode::Broadcast => unreachable!("broadcast has no router"),
-            Mode::Routed => RouterConfig::new(shards),
-            Mode::RoutedSplit => RouterConfig::new(shards).split(split_config()),
-        }
+        RouterConfig::new(shards).split_opt(self.split())
     }
 }
 
@@ -312,7 +309,7 @@ fn main() {
     let mut head = String::new();
     banner(
         &mut head,
-        "ingestion throughput: broadcast vs routed dispatch (events/sec)",
+        "ingestion throughput: routed dispatch vs per-shard partitioning (events/sec)",
     );
     print!("{head}");
     println!("  requests={requests} seed={seed} repeat={repeat} smoke={smoke}");
@@ -356,25 +353,25 @@ fn main() {
     enum Cfg {
         Reference(usize),                        // workload index
         Optimized(usize),                        // workload index
-        Pipeline(usize, Mode, usize, usize),     // workload, dispatch, shards, routers
+        Pipeline(usize, Mode, usize, usize),     // workload, mode, shards, routers
         Route(usize, Mode, usize, usize, usize), // workload, mode, shards, slice, router count
         ShardBroadcast(usize, usize, usize),     // workload, shards, index
         ShardRouted(usize, Mode, usize, usize),  // workload, mode, shards, index
     }
 
-    // Uniform gets the full shard × router sweep in routed mode (and
-    // the shard sweep in broadcast, which has no router stage); the
-    // skewed stream is the 4-shard load-balance experiment. Shard apply
-    // timings are shared across router counts: non-split routing is a
-    // pure per-batch function, so the per-shard work lists are
-    // identical for any R.
+    // Uniform gets the full shard × router sweep in routed mode, plus
+    // the per-shard partitioning timings at the two shard counts the
+    // routed-vs-broadcast acceptance figures compare; the skewed stream
+    // is the 4-shard load-balance experiment. Shard apply timings are
+    // shared across router counts: non-split routing is a pure
+    // per-batch function, so the per-shard work lists are identical for
+    // any R.
     let mut cfgs: Vec<Cfg> = Vec::new();
     for w in 0..2usize {
         cfgs.push(Cfg::Reference(w));
         cfgs.push(Cfg::Optimized(w));
     }
-    for shards in SHARD_SWEEP {
-        cfgs.push(Cfg::Pipeline(0, Mode::Broadcast, shards, 1));
+    for shards in BROADCAST_SHARDS {
         for index in 0..shards {
             cfgs.push(Cfg::ShardBroadcast(0, shards, index));
         }
@@ -390,17 +387,11 @@ fn main() {
             cfgs.push(Cfg::ShardRouted(0, Mode::Routed, shards, index));
         }
     }
-    for mode in [Mode::Broadcast, Mode::Routed, Mode::RoutedSplit] {
+    for mode in [Mode::Routed, Mode::RoutedSplit] {
         cfgs.push(Cfg::Pipeline(1, mode, 4, 1));
-        if mode != Mode::Broadcast {
-            cfgs.push(Cfg::Route(1, mode, 4, 0, 1));
-            for index in 0..4 {
-                cfgs.push(Cfg::ShardRouted(1, mode, 4, index));
-            }
-        } else {
-            for index in 0..4 {
-                cfgs.push(Cfg::ShardBroadcast(1, 4, index));
-            }
+        cfgs.push(Cfg::Route(1, mode, 4, 0, 1));
+        for index in 0..4 {
+            cfgs.push(Cfg::ShardRouted(1, mode, 4, index));
         }
     }
     // Skewed static resize grid (routed_split): stage timings for every
@@ -430,16 +421,11 @@ fn main() {
     // ShardRouted timings so the routing stage is excluded from shard
     // service time. Routing is deterministic, so one routing pass also
     // supplies the per-shard work counters.
-    type Prerouted = ((usize, u8, usize), Vec<RoutedBatch>, Vec<u64>, Vec<u64>);
+    type Prerouted = ((usize, Mode, usize), Vec<RoutedBatch>, Vec<u64>, Vec<u64>);
     let mut routed_batches: Vec<Prerouted> = Vec::new();
-    let mode_tag = |mode: Mode| match mode {
-        Mode::Broadcast => 0u8,
-        Mode::Routed => 1,
-        Mode::RoutedSplit => 2,
-    };
     for cfg in &cfgs {
         if let Cfg::Route(w, mode, shards, _, _) = *cfg {
-            let key = (w, mode_tag(mode), shards);
+            let key = (w, mode, shards);
             if routed_batches.iter().any(|(k, ..)| *k == key) {
                 continue;
             }
@@ -461,7 +447,7 @@ fn main() {
     let prerouted = |w: usize, mode: Mode, shards: usize| {
         routed_batches
             .iter()
-            .find(|(k, ..)| *k == (w, mode_tag(mode), shards))
+            .find(|(k, ..)| *k == (w, mode, shards))
             .expect("prerouted batches")
     };
 
@@ -494,11 +480,13 @@ fn main() {
                     let mut pipeline = IngestPipeline::new(
                         MonitorConfig::default(),
                         config.clone(),
-                        PipelineConfig::with_shards(shards)
-                            .routers(routers)
-                            .batch_size(BATCH_SIZE)
-                            .ring_capacity(RING_CAPACITY)
-                            .dispatch(mode.dispatch()),
+                        PipelineConfig {
+                            split: mode.split(),
+                            ..PipelineConfig::with_shards(shards)
+                                .routers(routers)
+                                .batch_size(BATCH_SIZE)
+                                .ring_capacity(RING_CAPACITY)
+                        },
                     );
                     let start = Instant::now();
                     let mut stall_before = 0u64;
@@ -605,44 +593,26 @@ fn main() {
                 let p99 = percentile(&pool, 99);
                 let reps = repeat.max(1) as f64;
                 let (stall_ms, stall_count) = stall_totals[slot];
-                let wtag = mode_tag(mode);
-                let (routing, routing_cpu, ops, txns) = if mode == Mode::Broadcast {
-                    (None, None, None, None)
-                } else {
-                    let slice_times: Vec<f64> = (0..routers)
-                        .map(|slice| {
-                            let route_slot = slot_of(&|c: &Cfg| {
-                                matches!(*c, Cfg::Route(rw, rm, rs, rsl, rc)
-                                    if rw == w && mode_tag(rm) == wtag && rs == shards
-                                        && rsl == slice && rc == routers)
-                            })
-                            .expect("route slot");
-                            median(route_slot)
+                let slice_times: Vec<f64> = (0..routers)
+                    .map(|slice| {
+                        let route_slot = slot_of(&|c: &Cfg| {
+                            matches!(*c, Cfg::Route(rw, rm, rs, rsl, rc)
+                                if rw == w && rm == mode && rs == shards
+                                    && rsl == slice && rc == routers)
                         })
-                        .collect();
-                    let busiest = slice_times.iter().copied().fold(0.0f64, f64::max);
-                    let total: f64 = slice_times.iter().sum();
-                    let (_, _, ops, txns) = prerouted(w, mode, shards);
-                    (
-                        Some(busiest),
-                        Some(total),
-                        Some(ops.clone()),
-                        Some(txns.clone()),
-                    )
-                };
+                        .expect("route slot");
+                        median(route_slot)
+                    })
+                    .collect();
+                let routing = slice_times.iter().copied().fold(0.0f64, f64::max);
+                let routing_cpu: f64 = slice_times.iter().sum();
+                let (_, _, ops, txns) = prerouted(w, mode, shards);
                 let shard_times: Vec<f64> = (0..shards)
                     .map(|index| {
-                        let shard_slot = slot_of(&|c: &Cfg| match (*c, mode) {
-                            (Cfg::ShardBroadcast(sw, ss, si), Mode::Broadcast) => {
-                                sw == w && ss == shards && si == index
-                            }
-                            (Cfg::ShardRouted(sw, sm, ss, si), m) if m != Mode::Broadcast => {
-                                sw == w
-                                    && mode_tag(sm) == mode_tag(m)
-                                    && ss == shards
-                                    && si == index
-                            }
-                            _ => false,
+                        let shard_slot = slot_of(&|c: &Cfg| {
+                            matches!(*c, Cfg::ShardRouted(sw, sm, ss, si)
+                                if sw == w && sm == mode && ss == shards
+                                    && si == index)
                         })
                         .expect("shard slot");
                         median(shard_slot)
@@ -652,9 +622,9 @@ fn main() {
                 // One core per stage: the pipeline sustains the rate of
                 // its slowest stage — the busiest router slice or the
                 // busiest shard.
-                let critical = slowest_shard.max(routing.unwrap_or(0.0));
+                let critical = slowest_shard.max(routing);
                 // Total CPU burned across all stages, each timed alone.
-                let stage_cpu = shard_times.iter().sum::<f64>() + routing_cpu.unwrap_or(0.0);
+                let stage_cpu = shard_times.iter().sum::<f64>() + routing_cpu;
                 let elapsed = median(slot);
                 results.push(Measurement {
                     workload: workloads[w].name,
@@ -668,12 +638,12 @@ fn main() {
                     batch_latency_us: Some((p50, p99)),
                     stalls: Some((stall_ms / reps, stall_count as f64 / reps)),
                     critical_path_secs: Some(critical),
-                    routing_secs: routing,
-                    routing_cpu_secs: routing_cpu,
+                    routing_secs: Some(routing),
+                    routing_cpu_secs: Some(routing_cpu),
                     slowest_shard_secs: Some(slowest_shard),
                     stage_cpu_secs: Some(stage_cpu),
-                    routed_ops: ops,
-                    routed_transactions: txns,
+                    routed_ops: Some(ops.clone()),
+                    routed_transactions: Some(txns.clone()),
                 });
             }
             Cfg::Route(..) | Cfg::ShardBroadcast(..) | Cfg::ShardRouted(..) => {}
@@ -708,15 +678,24 @@ fn main() {
             })
             .unwrap_or_else(|| panic!("{shards}-shard {routers}-router routed"))
     };
+    // The broadcast side: each shard's sequential process_partition
+    // pass over the full uniform stream, timed alone.
+    let broadcast_shard_times = |shards: usize| -> Vec<f64> {
+        (0..shards)
+            .map(|index| {
+                let shard_slot = slot_of(&|c: &Cfg| {
+                    matches!(*c, Cfg::ShardBroadcast(0, s, i) if s == shards && i == index)
+                })
+                .expect("broadcast shard slot");
+                median(shard_slot)
+            })
+            .collect()
+    };
     let routed8 = uniform_routed(8, 1);
-    let broadcast8 = results
-        .iter()
-        .find(|m| m.workload == "uniform" && m.mode == Some(Mode::Broadcast) && m.shards == 8)
-        .expect("8-shard broadcast");
     let routed_cpu_ratio =
         routed8.stage_cpu_secs.expect("routed stage cpu") / uniform_optimized.elapsed_secs;
     let broadcast_cpu_ratio =
-        broadcast8.stage_cpu_secs.expect("broadcast stage cpu") / uniform_optimized.elapsed_secs;
+        broadcast_shard_times(8).iter().sum::<f64>() / uniform_optimized.elapsed_secs;
 
     // (2) Routed vs broadcast at 4 shards on the one-core-per-shard
     // critical-path metric.
@@ -724,12 +703,9 @@ fn main() {
         events as f64 / m.critical_path_secs.expect("critical path")
     };
     let routed4 = uniform_routed(4, 1);
-    let broadcast4 = results
-        .iter()
-        .find(|m| m.workload == "uniform" && m.mode == Some(Mode::Broadcast) && m.shards == 4)
-        .expect("4-shard broadcast");
+    let broadcast4_critical = broadcast_shard_times(4).into_iter().fold(0.0f64, f64::max);
     let routed_vs_broadcast =
-        crit_rate(routed4, uniform.events) / crit_rate(broadcast4, uniform.events);
+        crit_rate(routed4, uniform.events) / (uniform.events as f64 / broadcast4_critical);
 
     // (3) Skewed load balance: with splitting the max/mean per-shard
     // record count must flatten below 1.5, and the merged frequent-pair
@@ -1756,7 +1732,6 @@ fn query_load_sweep(
         PipelineConfig::with_shards(QUERY_SHARDS)
             .batch_size(BATCH_SIZE)
             .ring_capacity(RING_CAPACITY)
-            .dispatch(Dispatch::Routed { split: None })
             .publish_interval(publish)
     };
 
@@ -1976,7 +1951,6 @@ fn publish_query_zero_alloc() -> bool {
         PipelineConfig::with_shards(QUERY_SHARDS)
             .batch_size(16)
             .ring_capacity(8)
-            .dispatch(Dispatch::Routed { split: None })
             .publish_interval(2),
     );
     let warmup = stream(200);
@@ -2401,7 +2375,6 @@ fn from_disk_sweep(smoke: bool, seed: u64, repeat: usize, config: &AnalyzerConfi
         PipelineConfig::with_shards(2)
             .batch_size(BATCH_SIZE)
             .ring_capacity(RING_CAPACITY)
-            .dispatch(Dispatch::Routed { split: None })
     };
 
     // Interleaved repetitions, median per measurement (same reasoning
@@ -2700,7 +2673,7 @@ fn render_json(
     ));
     out.push_str(&format!("  \"hardware_threads\": {hardware_threads},\n"));
     out.push_str(
-        "  \"notes\": \"speedups are vs the preserved seed analyzer (ReferenceAnalyzer) \
+        "  \"notes\": \"speedups are vs the reference analyzer (ReferenceAnalyzer) \
          on the same workload; wall-clock numbers time-share this host's hardware \
          threads; stage_cpu_secs is the total CPU work — the sum of every stage \
          (all router slices plus all shards) timed independently with no threading, \

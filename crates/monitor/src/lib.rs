@@ -45,7 +45,7 @@ mod tenant;
 pub use controller::{AdaptiveController, ControllerConfig, WindowSample};
 pub use ewma::LatencyEwma;
 pub use monitor::{Monitor, MonitorConfig, MonitorStats, WindowPolicy};
-pub use pipeline::{Dispatch, IngestPipeline, PipelineConfig, PipelineStats, ResizeEvent};
+pub use pipeline::{IngestPipeline, PipelineConfig, PipelineStats, ResizeEvent};
 pub use router::{RoutedBatch, Router, RouterConfig, RouterStats, SplitConfig, WorkList};
 pub use service::{serve, ServiceConfig};
 pub use stream::{

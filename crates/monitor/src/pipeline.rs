@@ -9,44 +9,37 @@
 //!            (dealt to router n%R) └─▶ router R-1┴─▶ ring (R-1,s)┘   R rings in seq order
 //! ```
 //!
-//! Two dispatch modes, selected by [`Dispatch`]:
+//! A [`Router`] deduplicates each transaction and hashes each pair
+//! exactly once, partitioning the records into per-shard [`WorkList`]s
+//! which each shard applies verbatim via
+//! [`OnlineAnalyzer::process_routed`] — no re-dedup, no re-hashing.
+//! Total CPU across shards is O(stream), not O(stream × shards), and
+//! each shard's table state is bit-identical to what
+//! [`OnlineAnalyzer::process_partition`] would build from the full
+//! stream. Optional [`SplitConfig`] spreads hot pairs round-robin; the
+//! merged analyzer then sums partial tallies
+//! (`ShardedAnalyzer::from_routed_shards`).
 //!
-//! * **[`Dispatch::Routed`]** (the default) — a [`Router`] deduplicates
-//!   each transaction and hashes each pair exactly once, partitioning
-//!   the records into per-shard [`WorkList`]s which each shard applies
-//!   verbatim via [`OnlineAnalyzer::process_routed`] — no re-dedup, no
-//!   re-hashing. Total CPU across shards is O(stream), not O(stream ×
-//!   shards). Optional [`SplitConfig`] spreads hot pairs round-robin;
-//!   the merged analyzer then sums partial tallies
-//!   (`ShardedAnalyzer::from_routed_shards`).
+//! With [`PipelineConfig::routers`] `== 1` the router runs inline on
+//! the caller's thread. With `R >= 2` the front-end deals whole batches
+//! round-robin to R router worker threads (batch `n` to router
+//! `n % R`), and every shard owns one ring *per router*, reading them
+//! in `n % R` order — the **sequence-ordered fan-in**. Because the batch
+//! sequence is a single monotone counter and each ring is FIFO, that
+//! merge replays the exact global batch order, so per-shard apply order
+//! (and therefore shard table state) is bit-identical for any R.
 //!
-//!   With [`PipelineConfig::routers`] `== 1` the router runs inline on
-//!   the caller's thread. With `R >= 2` the front-end deals whole
-//!   batches round-robin to R router worker threads (batch `n` to
-//!   router `n % R`), and every shard owns one ring *per router*,
-//!   reading them in `n % R` order — the **sequence-ordered fan-in**.
-//!   Because the batch sequence is a single monotone counter and each
-//!   ring is FIFO, that merge replays the exact global batch order, so
-//!   per-shard apply order (and therefore shard table state) is
-//!   bit-identical to the single-router and broadcast paths, for any R.
+//! Buffers recycle instead of churning the allocator: shard workers
+//! clear each applied `WorkList` and hand it back to its router over a
+//! return ring, and routers hand emptied batch `Vec`s back to the
+//! front-end the same way. Each return ring is prefilled at
+//! construction with more buffers than its forward path can hold in
+//! flight, so a producer's refill always finds a recycled buffer and
+//! the pipeline performs **zero heap allocations per batch** in steady
+//! state (the `zero_alloc` integration test pins this down with a
+//! counting global allocator).
 //!
-//!   Buffers recycle instead of churning the allocator: shard workers
-//!   clear each applied `WorkList` and hand it back to its router over
-//!   a return ring, and routers hand emptied batch `Vec`s back to the
-//!   front-end the same way. Each return ring is prefilled at
-//!   construction with more buffers than its forward path can hold in
-//!   flight, so a producer's refill always finds a recycled buffer and
-//!   the routed pipeline performs **zero heap allocations per batch**
-//!   in steady state (the `zero_alloc` integration test pins this down
-//!   with a counting global allocator).
-//!
-//! * **[`Dispatch::Broadcast`]** — the PR-1 behaviour, kept for
-//!   comparison benchmarks: every shard receives every batch and runs
-//!   [`OnlineAnalyzer::process_partition`], re-deduplicating and
-//!   re-hashing the full stream to discard the (N−1)/N of pairs it does
-//!   not own.
-//!
-//! Batches amortize ring traffic either way; rings are bounded, so a
+//! Batches amortize ring traffic; rings are bounded, so a
 //! slow stage applies backpressure instead of growing an unbounded
 //! queue. Time the *front-end* spends blocked on a full ring is
 //! accounted in [`PipelineStats::stall_nanos`]; time *router workers*
@@ -57,7 +50,7 @@
 //! # Elastic stage pools
 //!
 //! The router and shard stages live in a *stage pool* that can be
-//! resized online (routed dispatch only). [`IngestPipeline::resize`]
+//! resized online. [`IngestPipeline::resize`]
 //! runs the **quiesce → snapshot → re-seed** protocol at a batch
 //! boundary:
 //!
@@ -159,45 +152,23 @@ use rtdac_types::{router_for_batch, Epoch, IoEvent, Topology, Transaction};
 
 use crate::controller::{AdaptiveController, ControllerConfig};
 use crate::monitor::{Monitor, MonitorConfig};
-use crate::pool::{send_counting_stalls, Batch, FrontEnd, ShardWork, StagePool};
+use crate::pool::{send_counting_stalls, FrontEnd, StagePool};
 use crate::router::SplitConfig;
 
-/// How the front-end hands work to the shards.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Dispatch {
-    /// Every shard receives every batch and re-derives its own partition
-    /// (dedup + hash replicated per shard). Kept for comparison; routed
-    /// dispatch supersedes it.
-    Broadcast,
-    /// Each record is routed to its owning shard exactly once via a
-    /// [`Router`] (or several — see [`PipelineConfig::routers`]);
-    /// `split` optionally spreads hot pairs across shards.
-    Routed {
-        /// Hot-pair splitting; `None` routes every pair by hash.
-        split: Option<SplitConfig>,
-    },
-}
-
-impl Default for Dispatch {
-    fn default() -> Self {
-        Dispatch::Routed { split: None }
-    }
-}
-
 /// Shape of the parallel pipeline: how many shards and routers, how
-/// transactions are batched, how deep each ring is, and how work is
-/// dispatched. `shard_count` and `routers` are the *initial* topology;
-/// [`IngestPipeline::resize`] (or an attached controller) can change
-/// the live topology later.
+/// transactions are batched, how deep each ring is, and whether hot
+/// pairs are split. `shard_count` and `routers` are the *initial*
+/// topology; [`IngestPipeline::resize`] (or an attached controller) can
+/// change the live topology later.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PipelineConfig {
     /// Number of shard worker threads.
     pub shard_count: usize,
-    /// Router workers for routed dispatch (default 1). `1` routes
-    /// inline on the caller's thread; `R >= 2` spawns R router threads
-    /// and deals batches to them round-robin by sequence number, with
-    /// every shard merging its R rings back in sequence order (shard
-    /// state stays bit-exact for any R). Ignored under broadcast.
+    /// Router workers (default 1). `1` routes inline on the caller's
+    /// thread; `R >= 2` spawns R router threads and deals batches to
+    /// them round-robin by sequence number, with every shard merging
+    /// its R rings back in sequence order (shard state stays bit-exact
+    /// for any R).
     pub routers: usize,
     /// Transactions per batch.
     pub batch_size: usize,
@@ -205,11 +176,11 @@ pub struct PipelineConfig {
     /// (bounded: a slow stage applies backpressure instead of growing an
     /// unbounded queue).
     pub ring_capacity: usize,
-    /// Dispatch mode (default: routed, no splitting).
-    pub dispatch: Dispatch,
+    /// Hot-pair splitting; `None` (the default) routes every pair to
+    /// its owning shard by hash.
+    pub split: Option<SplitConfig>,
     /// Occupancy-driven resize controller; `None` (the default) keeps
     /// the topology fixed unless [`IngestPipeline::resize`] is called.
-    /// Requires routed dispatch.
     pub controller: Option<ControllerConfig>,
     /// Epoch length for live-query publishing, in dispatched batches:
     /// every shard worker publishes a state delta toward the
@@ -224,9 +195,9 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A pipeline with `shard_count` shards, routed dispatch, one
-    /// (inline) router, and the default batch size (64 transactions)
-    /// and ring depth (64 batches).
+    /// A pipeline with `shard_count` shards, one (inline) router, no
+    /// hot-pair splitting, and the default batch size (64
+    /// transactions) and ring depth (64 batches).
     ///
     /// # Panics
     ///
@@ -238,14 +209,14 @@ impl PipelineConfig {
             routers: 1,
             batch_size: 64,
             ring_capacity: 64,
-            dispatch: Dispatch::default(),
+            split: None,
             controller: None,
             publish_interval_batches: 0,
             publish_buffers: 2,
         }
     }
 
-    /// Sets the number of router workers for routed dispatch.
+    /// Sets the number of router workers.
     ///
     /// # Panics
     ///
@@ -278,20 +249,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Selects the dispatch mode.
-    pub fn dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
+    /// Enables hot-pair splitting.
+    pub fn split(mut self, split: SplitConfig) -> Self {
+        self.split = Some(split);
         self
-    }
-
-    /// Shorthand: broadcast dispatch (the pre-routing behaviour).
-    pub fn broadcast(self) -> Self {
-        self.dispatch(Dispatch::Broadcast)
-    }
-
-    /// Shorthand: routed dispatch with hot-pair splitting enabled.
-    pub fn split(self, split: SplitConfig) -> Self {
-        self.dispatch(Dispatch::Routed { split: Some(split) })
     }
 
     /// Attaches an occupancy-driven [`AdaptiveController`] that resizes
@@ -341,8 +302,8 @@ pub struct PipelineStats {
     /// Batches dispatched (to the shard rings, or to router workers).
     pub batches: u64,
     /// Ring-full backpressure events on the *caller's* thread: sends
-    /// that found a shard ring (inline routing, broadcast) or a router
-    /// ring (parallel routing) full and had to block.
+    /// that found a shard ring (inline routing) or a router ring
+    /// (parallel routing) full and had to block.
     pub stalls: u64,
     /// Total nanoseconds the caller's thread spent blocked on full
     /// rings. Queueing delay, not service time — benchmarks that
@@ -355,13 +316,12 @@ pub struct PipelineStats {
     /// Total nanoseconds router workers spent blocked on full shard
     /// rings (parallel routing only).
     pub routing_stall_nanos: u64,
-    /// Routed dispatch only: transactions routed to each shard (a
-    /// transaction counts for every shard that received at least one of
-    /// its records) since the last resize. Empty under broadcast.
+    /// Transactions routed to each shard (a transaction counts for
+    /// every shard that received at least one of its records) since the
+    /// last resize.
     pub routed_transactions: Vec<u64>,
-    /// Routed dispatch only: table records (items + pairs) routed to
-    /// each shard since the last resize — the deterministic per-shard
-    /// work metric. Empty under broadcast.
+    /// Table records (items + pairs) routed to each shard since the
+    /// last resize — the deterministic per-shard work metric.
     pub routed_ops: Vec<u64>,
     /// Pair records dealt round-robin by hot-pair splitting (0 without
     /// splitting).
@@ -382,7 +342,7 @@ pub struct PipelineStats {
     pub shard_ring_highwater: Vec<u64>,
     /// Per router (parallel routing only): the highest occupancy its
     /// batch ring reached since the last resize. Empty with an inline
-    /// router or under broadcast.
+    /// router.
     pub batch_ring_highwater: Vec<u64>,
     /// Per router: nanoseconds spent routing (service time, stall time
     /// excluded) since the last resize. The busy half of the routing
@@ -422,8 +382,8 @@ pub struct ResizeEvent {
     pub reseeded: bool,
 }
 
-/// The multi-threaded ingestion pipeline: monitor front-end, routed (or
-/// broadcast) batches over SPSC rings, one synopsis shard per worker
+/// The multi-threaded ingestion pipeline: monitor front-end, routed
+/// batches over SPSC rings, one synopsis shard per worker
 /// thread — and, with [`PipelineConfig::routers`] `>= 2`, a pool of
 /// parallel router workers between the two. The router and shard pools
 /// are elastic: see [`IngestPipeline::resize`] and the module docs.
@@ -456,12 +416,7 @@ pub struct IngestPipeline {
 
 impl IngestPipeline {
     /// Builds the pipeline and spawns one worker thread per shard (plus
-    /// one per router when `routers >= 2` under routed dispatch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a controller is configured with broadcast dispatch
-    /// (only the routed pool is resizable).
+    /// one per router when `routers >= 2`).
     pub fn new(
         monitor_config: MonitorConfig,
         analyzer_config: AnalyzerConfig,
@@ -469,15 +424,7 @@ impl IngestPipeline {
     ) -> Self {
         assert!(pipeline_config.shard_count > 0, "need at least one shard");
         assert!(pipeline_config.routers > 0, "need at least one router");
-        let routed = matches!(&pipeline_config.dispatch, Dispatch::Routed { .. });
-        assert!(
-            routed || pipeline_config.controller.is_none(),
-            "the adaptive controller requires routed dispatch"
-        );
-        let split_tallies = matches!(
-            &pipeline_config.dispatch,
-            Dispatch::Routed { split: Some(_) }
-        );
+        let split_tallies = pipeline_config.split.is_some();
         let mut shards = ShardedAnalyzer::new(analyzer_config.clone(), pipeline_config.shard_count)
             .into_shards();
         let live = (pipeline_config.publish_interval_batches > 0)
@@ -546,7 +493,7 @@ impl IngestPipeline {
         }
     }
 
-    /// Dispatches the open batch (blocking while rings are full;
+    /// Ships the open batch (blocking while rings are full;
     /// blocked time is accounted in [`PipelineStats::stall_nanos`]).
     /// Called automatically at batch-size granularity and by
     /// [`finish`](IngestPipeline::finish); call it directly to cap
@@ -560,13 +507,13 @@ impl IngestPipeline {
         self.dispatch_batch();
     }
 
-    /// Dispatches an **empty** batch: advances the batch sequence — and
+    /// Ships an **empty** batch: advances the batch sequence — and
     /// therefore the publish cadence — without carrying any
     /// transactions. Lets a paused event stream reach its next epoch
     /// boundary so shard workers get a work item to publish on (they
     /// only tick between work items; an idle worker never publishes).
     /// Shard state is unaffected: an empty batch routes empty work
-    /// lists and broadcasts an empty transaction slice.
+    /// lists.
     pub fn heartbeat(&mut self) {
         self.flush_batch();
         self.dispatch_batch();
@@ -603,20 +550,10 @@ impl IngestPipeline {
     ///
     /// This is the tenant runtime's idle-quiesce verb: a parked tenant
     /// holds no threads and no ring buffers, only its synopsis.
-    ///
-    /// # Panics
-    ///
-    /// Panics under broadcast dispatch with more than one shard (each
-    /// broadcast shard re-derives its partition from the full stream,
-    /// so its table state is not re-seedable through the snapshot).
     pub fn park(&mut self) {
         if self.parked.is_some() {
             return;
         }
-        assert!(
-            matches!(self.config.dispatch, Dispatch::Routed { .. }) || self.config.shard_count == 1,
-            "parking requires routed dispatch (broadcast shard state is not re-seedable)"
-        );
         self.flush_batch();
         let pool = self.pool.take().expect("pipeline already finished");
         let mut analyzers = pool.quiesce(&mut self.stats, self.live.as_mut());
@@ -637,14 +574,6 @@ impl IngestPipeline {
     }
 
     /// Whether the pipeline is parked (no worker threads running).
-    /// Whether this pipeline's topology supports parking: routed
-    /// dispatch (partition-invariant snapshots) or a single broadcast
-    /// shard. Multi-shard broadcast state is not re-seedable, so
-    /// [`park`](IngestPipeline::park) would panic.
-    pub fn can_park(&self) -> bool {
-        matches!(self.config.dispatch, Dispatch::Routed { .. }) || self.config.shard_count == 1
-    }
-
     pub fn is_parked(&self) -> bool {
         self.parked.is_some()
     }
@@ -684,22 +613,6 @@ impl IngestPipeline {
         let stats = &mut self.stats;
         let counters = Arc::clone(&pool.counters);
         match &mut pool.front_end {
-            FrontEnd::Broadcast { senders } => {
-                let batch: Batch = Arc::new(std::mem::replace(
-                    &mut self.batch,
-                    Vec::with_capacity(batch_size),
-                ));
-                for (shard, sender) in senders.iter().enumerate() {
-                    send_counting_stalls(
-                        sender,
-                        ShardWork::Broadcast(Arc::clone(&batch)),
-                        &mut stats.stalls,
-                        &mut stats.stall_nanos,
-                    );
-                    counters.shard_ring_high[shard]
-                        .fetch_max(sender.occupancy() as u64, Ordering::Relaxed);
-                }
-            }
             FrontEnd::Inline(routing) => {
                 let started = Instant::now();
                 routing.router.route_into(&self.batch, &mut routing.staged);
@@ -716,12 +629,7 @@ impl IngestPipeline {
                     // (see the circulation bound in `spawn`).
                     let refill = routing.returns[shard].try_recv().unwrap_or_default();
                     let work = std::mem::replace(staged, refill);
-                    send_counting_stalls(
-                        sender,
-                        ShardWork::Routed(work),
-                        &mut stalls,
-                        &mut stall_nanos,
-                    );
+                    send_counting_stalls(sender, work, &mut stalls, &mut stall_nanos);
                     counters.shard_ring_high[shard]
                         .fetch_max(sender.occupancy() as u64, Ordering::Relaxed);
                 }
@@ -859,7 +767,6 @@ impl IngestPipeline {
         stats.epoch_publishes += counters.epoch_publishes.load(Ordering::Relaxed);
         stats.epoch_publish_skips += counters.epoch_publish_skips.load(Ordering::Relaxed);
         match &pool.front_end {
-            FrontEnd::Broadcast { .. } => {}
             FrontEnd::Inline(routing) => {
                 let routed = routing.router.stats();
                 stats.routed_transactions = routed.routed_transactions.clone();
@@ -905,14 +812,8 @@ impl IngestPipeline {
     ///
     /// # Panics
     ///
-    /// Panics under broadcast dispatch (each broadcast shard re-derives
-    /// its partition from the full stream, so its table state is not
-    /// re-partitionable), or if `shards == 0` or `routers == 0`.
+    /// Panics if `shards == 0` or `routers == 0`.
     pub fn resize(&mut self, shards: usize, routers: usize) -> bool {
-        assert!(
-            matches!(self.config.dispatch, Dispatch::Routed { .. }),
-            "resize requires routed dispatch"
-        );
         assert!(shards > 0, "need at least one shard");
         assert!(routers > 0, "need at least one router");
         if shards == self.config.shard_count && routers == self.config.routers {
@@ -981,20 +882,14 @@ impl IngestPipeline {
         self.flush_batch();
         let pool = self.pool.take().expect("pipeline already finished");
         let shards = pool.quiesce(&mut self.stats, self.live.as_mut());
-        if matches!(self.config.dispatch, Dispatch::Routed { .. }) {
-            // Routed shards never count transactions; the front-end's
-            // (cumulative) count is authoritative.
-            ShardedAnalyzer::from_routed_shards(
-                self.analyzer_config.clone(),
-                shards,
-                self.stats.transactions,
-                self.split_tallies,
-            )
-        } else {
-            // Broadcast shards each counted the full transaction stream
-            // themselves; from_shards takes shard 0's count.
-            ShardedAnalyzer::from_shards(self.analyzer_config.clone(), shards)
-        }
+        // Routed shards never count transactions; the front-end's
+        // (cumulative) count is authoritative.
+        ShardedAnalyzer::from_routed_shards(
+            self.analyzer_config.clone(),
+            shards,
+            self.stats.transactions,
+            self.split_tallies,
+        )
     }
 }
 
@@ -1027,14 +922,9 @@ mod tests {
         out
     }
 
-    fn dispatch_modes() -> Vec<Dispatch> {
-        vec![
-            Dispatch::Broadcast,
-            Dispatch::Routed { split: None },
-            Dispatch::Routed {
-                split: Some(SplitConfig::default()),
-            },
-        ]
+    /// Every hot-pair splitting setting: off, and on with defaults.
+    fn split_modes() -> Vec<Option<SplitConfig>> {
+        vec![None, Some(SplitConfig::default())]
     }
 
     #[test]
@@ -1052,17 +942,19 @@ mod tests {
         let expected = single.snapshot().frequent_pairs(1);
         assert!(!expected.is_empty());
 
-        for dispatch in dispatch_modes() {
+        for split in split_modes() {
             for shards in [1usize, 2, 4] {
                 for routers in [1usize, 2] {
                     let mut pipeline = IngestPipeline::new(
                         monitor_config.clone(),
                         analyzer_config.clone(),
-                        PipelineConfig::with_shards(shards)
-                            .routers(routers)
-                            .batch_size(16)
-                            .ring_capacity(4)
-                            .dispatch(dispatch.clone()),
+                        PipelineConfig {
+                            split: split.clone(),
+                            ..PipelineConfig::with_shards(shards)
+                                .routers(routers)
+                                .batch_size(16)
+                                .ring_capacity(4)
+                        },
                     );
                     for e in events() {
                         pipeline.push(e);
@@ -1071,7 +963,7 @@ mod tests {
                     assert_eq!(
                         analyzer.snapshot().frequent_pairs(1),
                         expected,
-                        "{shards} shards, {routers} routers, {dispatch:?}"
+                        "{shards} shards, {routers} routers, split {split:?}"
                     );
                 }
             }
@@ -1079,40 +971,41 @@ mod tests {
     }
 
     #[test]
-    fn routed_shard_state_matches_broadcast_exactly() {
-        // With splitting off, routed dispatch must leave every shard's
-        // tables bit-for-bit identical to broadcast (tiny tables force
-        // eviction churn, so record order matters) — for any router
-        // count, thanks to the sequence-ordered fan-in.
+    fn routed_shard_state_matches_sequential_partitions_exactly() {
+        // With splitting off, the pipeline must leave every shard's
+        // tables bit-for-bit identical to a sequential ShardedAnalyzer
+        // running process_partition per shard over the same stream
+        // (tiny tables force eviction churn, so record order matters) —
+        // for any router count, thanks to the sequence-ordered fan-in.
         let monitor_config =
             MonitorConfig::new(crate::WindowPolicy::Static(Duration::from_micros(100)));
         let analyzer_config = AnalyzerConfig::with_capacity(8).item_capacity(4);
+        let transactions = Monitor::new(monitor_config.clone()).into_transactions(events());
         for shards in [1usize, 2, 4, 8] {
-            let run = |dispatch: Dispatch, routers: usize| {
+            let mut reference = ShardedAnalyzer::new(analyzer_config.clone(), shards);
+            for t in &transactions {
+                reference.process(t);
+            }
+            for routers in [1usize, 2] {
                 let mut pipeline = IngestPipeline::new(
                     monitor_config.clone(),
                     analyzer_config.clone(),
                     PipelineConfig::with_shards(shards)
                         .routers(routers)
-                        .batch_size(8)
-                        .dispatch(dispatch),
+                        .batch_size(8),
                 );
                 for e in events() {
                     pipeline.push(e);
                 }
-                pipeline.finish()
-            };
-            let broadcast = run(Dispatch::Broadcast, 1);
-            for routers in [1usize, 2] {
-                let routed = run(Dispatch::Routed { split: None }, routers);
-                for (i, (b, r)) in broadcast.shards().iter().zip(routed.shards()).enumerate() {
+                let routed = pipeline.finish();
+                for (i, (s, r)) in reference.shards().iter().zip(routed.shards()).enumerate() {
                     assert_eq!(
-                        b.snapshot(),
+                        s.snapshot(),
                         r.snapshot(),
                         "shard {i} of {shards}, {routers} routers"
                     );
                 }
-                assert_eq!(broadcast.stats(), routed.stats());
+                assert_eq!(reference.stats(), routed.stats());
             }
         }
     }
@@ -1152,18 +1045,20 @@ mod tests {
 
     #[test]
     fn backpressure_does_not_deadlock_and_is_accounted() {
-        for dispatch in dispatch_modes() {
+        for split in split_modes() {
             for routers in [1usize, 2] {
                 // Tiny rings and batches: every stage must block and
                 // resume rather than drop or deadlock.
                 let mut pipeline = IngestPipeline::new(
                     MonitorConfig::new(crate::WindowPolicy::Static(Duration::from_micros(10))),
                     AnalyzerConfig::with_capacity(1024),
-                    PipelineConfig::with_shards(2)
-                        .routers(routers)
-                        .batch_size(1)
-                        .ring_capacity(1)
-                        .dispatch(dispatch.clone()),
+                    PipelineConfig {
+                        split: split.clone(),
+                        ..PipelineConfig::with_shards(2)
+                            .routers(routers)
+                            .batch_size(1)
+                            .ring_capacity(1)
+                    },
                 );
                 for i in 0..2_000u64 {
                     pipeline.push(event(i * 1000, i % 50));
@@ -1177,7 +1072,7 @@ mod tests {
                 assert_eq!(
                     analyzer.stats().transactions,
                     2_000,
-                    "{dispatch:?}, {routers} routers"
+                    "split {split:?}, {routers} routers"
                 );
             }
         }
@@ -1326,17 +1221,6 @@ mod tests {
         assert_eq!(analyzer.stats().transactions, 500);
     }
 
-    #[test]
-    #[should_panic(expected = "routed dispatch")]
-    fn resize_panics_under_broadcast() {
-        let mut pipeline = IngestPipeline::new(
-            MonitorConfig::new(crate::WindowPolicy::Static(Duration::from_micros(100))),
-            AnalyzerConfig::with_capacity(64),
-            PipelineConfig::with_shards(2).broadcast(),
-        );
-        pipeline.resize(4, 1);
-    }
-
     /// Polls the live view until it covers `target`, issuing heartbeat
     /// batches so idle workers get publish opportunities.
     fn drain_live_to(pipeline: &mut IngestPipeline, target: Epoch) -> Epoch {
@@ -1361,23 +1245,25 @@ mod tests {
         // the same boundary: feed identical pre-windowed transactions
         // to a publishing pipeline and an oracle, drain the view to the
         // ingest frontier, and compare against the oracle's quiesced
-        // capture — across dispatch modes and topologies, with tiny
-        // tables to force delta-visible eviction churn.
+        // capture — with and without splitting, across topologies, with
+        // tiny tables to force delta-visible eviction churn.
         let monitor_config =
             MonitorConfig::new(crate::WindowPolicy::Static(Duration::from_micros(100)));
         let transactions = Monitor::new(monitor_config.clone()).into_transactions(events());
-        for dispatch in dispatch_modes() {
+        for split in split_modes() {
             for (shards, routers) in [(1usize, 1usize), (2, 2), (4, 1)] {
                 let analyzer_config = AnalyzerConfig::with_capacity(64).item_capacity(32);
                 let build = |publish: usize| {
                     IngestPipeline::new(
                         monitor_config.clone(),
                         analyzer_config.clone(),
-                        PipelineConfig::with_shards(shards)
-                            .routers(routers)
-                            .batch_size(16)
-                            .dispatch(dispatch.clone())
-                            .publish_interval(publish),
+                        PipelineConfig {
+                            split: split.clone(),
+                            ..PipelineConfig::with_shards(shards)
+                                .routers(routers)
+                                .batch_size(16)
+                                .publish_interval(publish)
+                        },
                     )
                 };
                 let mut live = build(4);
@@ -1396,7 +1282,7 @@ mod tests {
                 assert_eq!(
                     view.snapshot(),
                     expected,
-                    "{shards} shards, {routers} routers, {dispatch:?}"
+                    "{shards} shards, {routers} routers, split {split:?}"
                 );
                 let stats = live.stats();
                 assert!(stats.epoch_publishes >= shards as u64);

@@ -18,20 +18,9 @@ use rtdac_synopsis::{AnalyzerConfig, LiveView, OnlineAnalyzer, ShardDelta};
 use rtdac_types::{Epoch, Topology, Transaction};
 
 use crate::controller::WindowSample;
-use crate::pipeline::{Dispatch, PipelineConfig, PipelineStats};
+use crate::pipeline::{PipelineConfig, PipelineStats};
 use crate::router::{Router, RouterConfig, WorkList};
 use crate::spsc;
-
-pub(crate) type Batch = Arc<Vec<Transaction>>;
-
-/// A shard ring item: one batch, in the dispatch mode's shape.
-pub(crate) enum ShardWork {
-    /// The full batch; the worker partitions it itself.
-    Broadcast(Batch),
-    /// This shard's share of one routed batch. The worker applies it,
-    /// clears it, and recycles the buffer to the router that filled it.
-    Routed(WorkList),
-}
 
 /// Live counters shared between the pool's workers and
 /// [`IngestPipeline::stats`]. Eventually consistent while the pipeline
@@ -63,9 +52,7 @@ pub(crate) struct PoolCounters {
 }
 
 impl PoolCounters {
-    /// `router_slots` is the router-stage width (0 under broadcast,
-    /// which has no routing stage).
-    fn new(shard_count: usize, router_slots: usize) -> Self {
+    fn new(shard_count: usize, router_count: usize) -> Self {
         let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         PoolCounters {
             routed_transactions: zeros(shard_count),
@@ -74,8 +61,8 @@ impl PoolCounters {
             routing_stalls: AtomicU64::new(0),
             routing_stall_nanos: AtomicU64::new(0),
             shard_ring_high: zeros(shard_count),
-            batch_ring_high: zeros(router_slots),
-            router_busy_nanos: zeros(router_slots),
+            batch_ring_high: zeros(router_count),
+            router_busy_nanos: zeros(router_count),
             shard_busy_nanos: zeros(shard_count),
             epoch_publishes: AtomicU64::new(0),
             epoch_publish_skips: AtomicU64::new(0),
@@ -83,15 +70,11 @@ impl PoolCounters {
     }
 }
 
-/// The front-end's dispatch machinery, by mode and router count.
+/// The front-end's dispatch machinery, by router count.
 pub(crate) enum FrontEnd {
-    /// Broadcast: every shard gets the whole batch behind an `Arc`.
-    Broadcast {
-        senders: Vec<spsc::Sender<ShardWork>>,
-    },
-    /// Routed, one router, running inline on the caller's thread.
+    /// One router, running inline on the caller's thread.
     Inline(Box<InlineRouting>),
-    /// Routed, `R >= 2` router worker threads fed round-robin.
+    /// `R >= 2` router worker threads fed round-robin.
     Parallel(ParallelRouting),
 }
 
@@ -99,7 +82,7 @@ pub(crate) enum FrontEnd {
 /// and recycling rings.
 pub(crate) struct InlineRouting {
     pub(crate) router: Router,
-    pub(crate) senders: Vec<spsc::Sender<ShardWork>>,
+    pub(crate) senders: Vec<spsc::Sender<WorkList>>,
     /// Cleared work lists flowing back from the shards, one ring per
     /// shard (buffers never migrate between shards, so each one's
     /// capacity plateaus at its own shard's demand).
@@ -144,7 +127,7 @@ fn router_worker(
     mut router: Router,
     batches: spsc::Receiver<Vec<Transaction>>,
     batch_return: spsc::Sender<Vec<Transaction>>,
-    work_senders: Vec<spsc::Sender<ShardWork>>,
+    work_senders: Vec<spsc::Sender<WorkList>>,
     work_returns: Vec<spsc::Receiver<WorkList>>,
     counters: Arc<PoolCounters>,
 ) -> Router {
@@ -169,12 +152,7 @@ fn router_worker(
             counters.routed_transactions[shard]
                 .fetch_add(work.txns.len() as u64, Ordering::Relaxed);
             counters.routed_ops[shard].fetch_add(work.ops(), Ordering::Relaxed);
-            send_counting_stalls(
-                sender,
-                ShardWork::Routed(work),
-                &mut stalls,
-                &mut stall_nanos,
-            );
+            send_counting_stalls(sender, work, &mut stalls, &mut stall_nanos);
             counters.shard_ring_high[shard].fetch_max(sender.occupancy() as u64, Ordering::Relaxed);
         }
         if stalls > 0 {
@@ -245,9 +223,7 @@ impl StagePool {
     ) -> Self {
         let shard_count = shards.len();
         debug_assert_eq!(shard_count, pipeline_config.shard_count);
-        let routed = matches!(&pipeline_config.dispatch, Dispatch::Routed { .. });
-        // Broadcast has a single feeder regardless of the router knob.
-        let feeders = if routed { pipeline_config.routers } else { 1 };
+        let feeders = pipeline_config.routers;
         let ring_capacity = pipeline_config.ring_capacity;
         // Buffer recycling is provably mint-free: a (producer, consumer)
         // cycle over a forward ring of (power-of-two) capacity C can
@@ -267,14 +243,11 @@ impl StagePool {
         let forward_bound = ring_capacity.next_power_of_two() + 2;
         let return_capacity = ring_capacity.next_power_of_two() * 2 + 2;
 
-        let counters = Arc::new(PoolCounters::new(
-            shard_count,
-            if routed { feeders } else { 0 },
-        ));
+        let counters = Arc::new(PoolCounters::new(shard_count, feeders));
 
-        // Channel matrix: one work ring per (feeder, shard), and in
-        // routed mode a matching return ring recycling cleared lists.
-        let mut work_tx: Vec<Vec<spsc::Sender<ShardWork>>> = (0..feeders)
+        // Channel matrix: one work ring per (feeder, shard), each with a
+        // matching return ring recycling cleared lists.
+        let mut work_tx: Vec<Vec<spsc::Sender<WorkList>>> = (0..feeders)
             .map(|_| Vec::with_capacity(shard_count))
             .collect();
         let mut ret_rx: Vec<Vec<spsc::Receiver<WorkList>>> = (0..feeders)
@@ -311,18 +284,16 @@ impl StagePool {
             let mut rings = Vec::with_capacity(feeders);
             let mut returns = Vec::with_capacity(feeders);
             for feeder in 0..feeders {
-                let (tx, rx) = spsc::channel::<ShardWork>(ring_capacity);
+                let (tx, rx) = spsc::channel::<WorkList>(ring_capacity);
                 work_tx[feeder].push(tx);
                 rings.push(rx);
-                if routed {
-                    let (return_tx, return_rx) = spsc::channel::<WorkList>(return_capacity);
-                    for _ in 0..forward_bound {
-                        let sent = return_tx.try_send(WorkList::default()).is_ok();
-                        debug_assert!(sent, "return ring sized below its prefill");
-                    }
-                    returns.push(return_tx);
-                    ret_rx[feeder].push(return_rx);
+                let (return_tx, return_rx) = spsc::channel::<WorkList>(return_capacity);
+                for _ in 0..forward_bound {
+                    let sent = return_tx.try_send(WorkList::default()).is_ok();
+                    debug_assert!(sent, "return ring sized below its prefill");
                 }
+                returns.push(return_tx);
+                ret_rx[feeder].push(return_rx);
             }
             let worker_counters = Arc::clone(&counters);
             workers.push(
@@ -347,25 +318,16 @@ impl StagePool {
                         let mut publish_due = false;
                         loop {
                             let ring = next % feeders;
-                            let Some(work) = rings[ring].recv() else {
+                            let Some(mut work) = rings[ring].recv() else {
                                 break;
                             };
                             let started = Instant::now();
-                            match work {
-                                ShardWork::Broadcast(batch) => {
-                                    for transaction in batch.iter() {
-                                        shard.process_partition(transaction, index, shard_count);
-                                    }
-                                }
-                                ShardWork::Routed(mut work) => {
-                                    work.apply(&mut shard);
-                                    work.clear();
-                                    // Recycle the buffer to the router
-                                    // that filled it; a closed ring
-                                    // (shutdown) just drops it.
-                                    let _ = returns[ring].try_send(work);
-                                }
-                            }
+                            work.apply(&mut shard);
+                            work.clear();
+                            // Recycle the buffer to the router that
+                            // filled it; a closed ring (shutdown) just
+                            // drops it.
+                            let _ = returns[ring].try_send(work);
                             batches += 1;
                             if let Some((delta_tx, buf_rx)) = publish.as_ref() {
                                 if batches.is_multiple_of(publish_interval) {
@@ -407,72 +369,64 @@ impl StagePool {
             );
         }
 
-        let front_end = match &pipeline_config.dispatch {
-            Dispatch::Broadcast => FrontEnd::Broadcast {
-                senders: work_tx.pop().expect("one broadcast feeder"),
-            },
-            Dispatch::Routed { split } => {
-                let router_config = RouterConfig::new(shard_count)
-                    .op_filter(analyzer_config.op_filter)
-                    .split_opt(split.clone());
-                if feeders == 1 {
-                    FrontEnd::Inline(Box::new(InlineRouting {
-                        router: Router::new(router_config),
-                        senders: work_tx.pop().expect("one inline feeder"),
-                        returns: ret_rx.pop().expect("one inline feeder"),
-                        staged: (0..shard_count).map(|_| WorkList::default()).collect(),
-                    }))
-                } else {
-                    let mut batch_senders = Vec::with_capacity(feeders);
-                    let mut batch_returns = Vec::with_capacity(feeders);
-                    let mut handles = Vec::with_capacity(feeders);
-                    for (index, (work_senders, work_returns)) in
-                        work_tx.drain(..).zip(ret_rx.drain(..)).enumerate()
-                    {
-                        let (batch_tx, batch_rx) = spsc::channel::<Vec<Transaction>>(ring_capacity);
-                        // Batch buffers migrate between router cycles
-                        // (the front-end grabs a replacement from any
-                        // return ring), so each ring is sized for the
-                        // whole circulation, not just its own cycle's.
-                        let (return_tx, return_rx) =
-                            spsc::channel::<Vec<Transaction>>(feeders * forward_bound + 1);
-                        for _ in 0..forward_bound {
-                            let sent = return_tx
-                                .try_send(Vec::with_capacity(pipeline_config.batch_size))
-                                .is_ok();
-                            debug_assert!(sent, "batch return ring sized below its prefill");
-                        }
-                        batch_senders.push(batch_tx);
-                        batch_returns.push(return_rx);
-                        let router = Router::new(router_config.clone());
-                        let counters = Arc::clone(&counters);
-                        handles.push(
-                            std::thread::Builder::new()
-                                .name(format!("rtdac-router-{index}"))
-                                .spawn(move || {
-                                    router_worker(
-                                        index,
-                                        router,
-                                        batch_rx,
-                                        return_tx,
-                                        work_senders,
-                                        work_returns,
-                                        counters,
-                                    )
-                                })
-                                .expect("spawning router worker"),
-                        );
-                    }
-                    FrontEnd::Parallel(ParallelRouting {
-                        batch_senders,
-                        batch_returns,
-                        handles,
-                    })
+        let router_config = RouterConfig::new(shard_count)
+            .op_filter(analyzer_config.op_filter)
+            .split_opt(pipeline_config.split.clone());
+        let front_end = if feeders == 1 {
+            FrontEnd::Inline(Box::new(InlineRouting {
+                router: Router::new(router_config),
+                senders: work_tx.pop().expect("one inline feeder"),
+                returns: ret_rx.pop().expect("one inline feeder"),
+                staged: (0..shard_count).map(|_| WorkList::default()).collect(),
+            }))
+        } else {
+            let mut batch_senders = Vec::with_capacity(feeders);
+            let mut batch_returns = Vec::with_capacity(feeders);
+            let mut handles = Vec::with_capacity(feeders);
+            for (index, (work_senders, work_returns)) in
+                work_tx.drain(..).zip(ret_rx.drain(..)).enumerate()
+            {
+                let (batch_tx, batch_rx) = spsc::channel::<Vec<Transaction>>(ring_capacity);
+                // Batch buffers migrate between router cycles
+                // (the front-end grabs a replacement from any
+                // return ring), so each ring is sized for the
+                // whole circulation, not just its own cycle's.
+                let (return_tx, return_rx) =
+                    spsc::channel::<Vec<Transaction>>(feeders * forward_bound + 1);
+                for _ in 0..forward_bound {
+                    let sent = return_tx
+                        .try_send(Vec::with_capacity(pipeline_config.batch_size))
+                        .is_ok();
+                    debug_assert!(sent, "batch return ring sized below its prefill");
                 }
+                batch_senders.push(batch_tx);
+                batch_returns.push(return_rx);
+                let router = Router::new(router_config.clone());
+                let counters = Arc::clone(&counters);
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("rtdac-router-{index}"))
+                        .spawn(move || {
+                            router_worker(
+                                index,
+                                router,
+                                batch_rx,
+                                return_tx,
+                                work_senders,
+                                work_returns,
+                                counters,
+                            )
+                        })
+                        .expect("spawning router worker"),
+                );
             }
+            FrontEnd::Parallel(ParallelRouting {
+                batch_senders,
+                batch_returns,
+                handles,
+            })
         };
 
-        let router_slots = counters.router_busy_nanos.len();
         StagePool {
             front_end,
             workers,
@@ -481,7 +435,7 @@ impl StagePool {
             sequence: 0,
             window_batches: 0,
             highwater_fold: vec![0; shard_count],
-            prev_router_busy: vec![0; router_slots],
+            prev_router_busy: vec![0; feeders],
             prev_shard_busy: vec![0; shard_count],
             delta_rx,
             buf_tx,
@@ -507,7 +461,6 @@ impl StagePool {
             ..
         } = self;
         match front_end {
-            FrontEnd::Broadcast { senders } => drop(senders),
             FrontEnd::Inline(routing) => {
                 let split_records = routing.router.stats().split_records;
                 // Dropping the routing state closes the shard rings.

@@ -1,7 +1,6 @@
 //! Routed batch dispatch: compute each transaction's pair set **once**
-//! at the front-end and partition it into per-shard work lists, instead
-//! of broadcasting every batch to every shard and letting each shard
-//! re-deduplicate and re-hash the full stream.
+//! at the front-end and partition it into per-shard work lists, so no
+//! shard re-deduplicates or re-hashes the records it does not own.
 //!
 //! ```text
 //!            ┌───────────── Router ─────────────┐
@@ -16,7 +15,8 @@
 //! followed by the owned pair records (canonical `(i, j)` enumeration
 //! order) — the same order `OnlineAnalyzer::process_partition` produces,
 //! so [`WorkList::apply`] leaves a shard's tables bit-for-bit identical
-//! to broadcast dispatch while doing only O(owned work) per shard.
+//! to `process_partition` over the full stream while doing only
+//! O(owned work) per shard.
 //!
 //! **Hot-pair splitting.** `fx_hash` partitions the pair space evenly,
 //! but a Zipf-hot pair serializes on its owning shard. With
@@ -179,7 +179,7 @@ impl WorkList {
     }
 
     /// Applies the list to a shard: per transaction, the item records
-    /// then the pair records, exactly as the broadcast path would have.
+    /// then the pair records, exactly as `process_partition` would have.
     pub fn apply(&self, shard: &mut OnlineAnalyzer) {
         let (mut e, mut p) = (0usize, 0usize);
         for &(extents, pairs) in &self.txns {
@@ -515,12 +515,12 @@ mod tests {
     #[test]
     fn routed_apply_matches_sequential_sharded_exactly() {
         // Small tables force eviction churn; per-shard table state must
-        // still match the broadcast path bit-for-bit.
+        // still match the sequential process_partition path bit-for-bit.
         let config = AnalyzerConfig::with_capacity(16).item_capacity(8);
         for shards in [1usize, 2, 3, 4, 8] {
-            let mut broadcast = ShardedAnalyzer::new(config.clone(), shards);
+            let mut sequential = ShardedAnalyzer::new(config.clone(), shards);
             for t in &stream(400) {
-                broadcast.process(t);
+                sequential.process(t);
             }
 
             let mut router = Router::new(RouterConfig::new(shards));
@@ -532,7 +532,8 @@ mod tests {
                 }
             }
 
-            for (i, (routed, reference)) in routed_shards.iter().zip(broadcast.shards()).enumerate()
+            for (i, (routed, reference)) in
+                routed_shards.iter().zip(sequential.shards()).enumerate()
             {
                 assert_eq!(
                     routed.snapshot(),

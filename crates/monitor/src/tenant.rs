@@ -40,9 +40,8 @@ pub struct TenantRuntimeConfig {
     pub doorkeeper_bytes: usize,
     /// Monitor (windowing) configuration applied to every tenant.
     pub monitor: MonitorConfig,
-    /// Pipeline topology template applied to every tenant. Must use
-    /// routed dispatch (the default) for idle parking, and a non-zero
-    /// `publish_interval_batches` for live queries.
+    /// Pipeline topology template applied to every tenant. Live
+    /// queries need a non-zero `publish_interval_batches`.
     pub pipeline: PipelineConfig,
     /// Tenants idle at least this long are parked by
     /// [`TenantRuntime::park_idle`].
@@ -250,7 +249,7 @@ impl TenantRuntime {
         tenant.finish()
     }
 
-    /// Parks every parkable tenant idle for at least the configured
+    /// Parks every running tenant idle for at least the configured
     /// threshold: worker threads join, tables drain to a snapshot, and
     /// the live view keeps answering queries at the park boundary.
     /// Tenants whose mutex is currently held are busy by definition
@@ -275,7 +274,7 @@ impl TenantRuntime {
             let Ok(pipeline) = tenant.peek_mut() else {
                 continue;
             };
-            if pipeline.can_park() && !pipeline.is_parked() {
+            if !pipeline.is_parked() {
                 pipeline.park();
                 parked += 1;
             }
@@ -446,6 +445,66 @@ mod tests {
             canonical(shards.frequent_pairs(1)),
             canonical(oracle.frequent_pairs(1))
         );
+    }
+
+    #[test]
+    fn multi_shard_tenants_park_and_keep_live_queries_exact() {
+        let runtime = TenantRuntime::new(TenantRuntimeConfig {
+            pipeline: PipelineConfig::with_shards(2).publish_interval(2),
+            ..config()
+        });
+        let mut oracle = OnlineAnalyzer::new(runtime.analyzer_config().clone());
+        let oracle_top = |oracle: &OnlineAnalyzer| {
+            let mut pairs = canonical(oracle.frequent_pairs(1));
+            pairs.truncate(5);
+            pairs
+        };
+        let live_top = |pipeline: &mut IngestPipeline| {
+            let mut pairs = Vec::new();
+            pipeline
+                .live_view_mut()
+                .expect("publishing enabled")
+                .top_pairs_into(5, &mut pairs);
+            pairs
+        };
+        let tenant = runtime.open("t").unwrap();
+        {
+            let mut tenant = tenant.lock().unwrap();
+            let pipeline = tenant.pipeline().unwrap();
+            for i in 0..30 {
+                pipeline.push_transaction(txn(i, 0));
+                oracle.process(&txn(i, 0));
+            }
+        }
+        assert_eq!(runtime.park_idle(), 1);
+        {
+            // Parking folds every pending delta: the parked view is
+            // exact at the park boundary.
+            let mut tenant = tenant.lock().unwrap();
+            let pipeline = tenant.peek_mut().unwrap();
+            assert!(pipeline.is_parked());
+            assert_eq!(live_top(pipeline), oracle_top(&oracle));
+        }
+        let mut tenant = tenant.lock().unwrap();
+        let pipeline = tenant.pipeline().unwrap();
+        for i in 30..70 {
+            pipeline.push_transaction(txn(i, 0));
+            oracle.process(&txn(i, 0));
+        }
+        // With the default 64-transaction batches nothing has shipped
+        // yet; the flush dispatches the open batch, resuming the pool.
+        pipeline.flush_batch();
+        assert!(!pipeline.is_parked());
+        // Heartbeats give idle shard workers publish opportunities
+        // until the view covers everything pushed.
+        let frontier = pipeline.frontier_epoch();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pipeline.poll_live().expect("publishing enabled") < frontier {
+            assert!(Instant::now() < deadline, "live view never caught up");
+            pipeline.heartbeat();
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert_eq!(live_top(pipeline), oracle_top(&oracle));
     }
 
     #[test]

@@ -156,12 +156,12 @@ fn transactions_strategy() -> impl Strategy<Value = Vec<rtdac_types::Transaction
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Routed dispatch is a pure refactoring of broadcast: applying a
-    /// router's work lists leaves every shard's tables bit-for-bit
+    /// Routing is a pure refactoring of per-shard partitioning: applying
+    /// a router's work lists leaves every shard's tables bit-for-bit
     /// identical to `process_partition` over the full stream — even with
     /// tiny tables where eviction order is observable.
     #[test]
-    fn routed_work_lists_match_broadcast_per_shard(
+    fn routed_work_lists_match_sequential_partitions_per_shard(
         txns in transactions_strategy(),
         shards in 1usize..6,
     ) {
@@ -169,9 +169,9 @@ proptest! {
         use rtdac_synopsis::{AnalyzerConfig, ShardedAnalyzer};
 
         let config = AnalyzerConfig::with_capacity(8).item_capacity(4);
-        let mut broadcast = ShardedAnalyzer::new(config.clone(), shards);
+        let mut sequential = ShardedAnalyzer::new(config.clone(), shards);
         for t in &txns {
-            broadcast.process(t);
+            sequential.process(t);
         }
 
         let mut router = Router::new(RouterConfig::new(shards));
@@ -183,8 +183,8 @@ proptest! {
             }
         }
 
-        for (b, r) in broadcast.shards().iter().zip(&routed) {
-            prop_assert_eq!(b.snapshot(), r.snapshot());
+        for (s, r) in sequential.shards().iter().zip(&routed) {
+            prop_assert_eq!(s.snapshot(), r.snapshot());
         }
     }
 

@@ -4,8 +4,8 @@
 //! single-threaded reference analyzer — on the skewed hot-pair
 //! workload, with and without hot-pair splitting.
 
-use rtdac_monitor::{Dispatch, IngestPipeline, MonitorConfig, PipelineConfig, SplitConfig};
-use rtdac_synopsis::{Admission, AnalyzerConfig, ReferenceAnalyzer};
+use rtdac_monitor::{IngestPipeline, MonitorConfig, PipelineConfig, SplitConfig};
+use rtdac_synopsis::{Admission, AnalyzerConfig, ReferenceAnalyzer, ShardedAnalyzer};
 use rtdac_types::{ExtentPair, Transaction};
 use rtdac_workloads::SkewedSpec;
 
@@ -99,7 +99,8 @@ fn router_resizes_are_bit_exact_per_shard() {
     // Router resizes move no table state, and the per-epoch sequence
     // restart keeps the deal/fan-in alignment deterministic — so even
     // with tiny tables under eviction churn, every shard's state must
-    // stay bit-identical to a broadcast pipeline that never resized.
+    // stay bit-identical to a sequential ShardedAnalyzer that never
+    // resized (process_partition per shard, same record order).
     let transactions = skewed_transactions();
     let config = AnalyzerConfig::with_capacity(32).item_capacity(16);
     let shards = 4usize;
@@ -125,12 +126,15 @@ fn router_resizes_are_bit_exact_per_shard() {
             .collect::<Vec<_>>()
     };
 
-    let baseline = snapshots(
-        PipelineConfig::with_shards(shards)
-            .batch_size(32)
-            .dispatch(Dispatch::Broadcast),
-        &[],
-    );
+    let mut reference = ShardedAnalyzer::new(config.clone(), shards);
+    for t in &transactions {
+        reference.process(t);
+    }
+    let baseline: Vec<_> = reference
+        .shards()
+        .iter()
+        .map(|shard| shard.snapshot())
+        .collect();
     let resized = snapshots(
         PipelineConfig::with_shards(shards)
             .batch_size(32)

@@ -1,10 +1,12 @@
 //! End-to-end equivalence of the routed ingestion pipeline: for every
-//! shard count and dispatch mode, the pipeline must report exactly the
-//! correlations the paper's single-threaded reference analyzer finds —
-//! on the skewed hot-pair workload that routed dispatch exists to serve.
+//! shard count, router count and splitting setting, the pipeline must
+//! report exactly the correlations the paper's single-threaded
+//! reference analyzer finds — on the skewed hot-pair workload that
+//! routing exists to serve — and leave every shard's tables identical
+//! to a sequential [`ShardedAnalyzer`] over the same stream.
 
-use rtdac_monitor::{Dispatch, IngestPipeline, MonitorConfig, PipelineConfig, SplitConfig};
-use rtdac_synopsis::{Admission, AnalyzerConfig, ReferenceAnalyzer};
+use rtdac_monitor::{IngestPipeline, MonitorConfig, PipelineConfig, SplitConfig};
+use rtdac_synopsis::{Admission, AnalyzerConfig, ReferenceAnalyzer, ShardedAnalyzer};
 use rtdac_types::Transaction;
 use rtdac_workloads::SkewedSpec;
 
@@ -35,6 +37,21 @@ fn run_pipeline(
     let stats = pipeline.stats();
     let analyzer = pipeline.finish();
     (analyzer.snapshot().frequent_pairs(1), stats)
+}
+
+/// The per-shard reference: a sequential [`ShardedAnalyzer`] running
+/// `process_partition` on every shard, transaction by transaction — the
+/// same per-shard record order the pipeline's routed work lists replay.
+fn sequential_shards(
+    transactions: &[Transaction],
+    config: &AnalyzerConfig,
+    shards: usize,
+) -> ShardedAnalyzer {
+    let mut sharded = ShardedAnalyzer::new(config.clone(), shards);
+    for t in transactions {
+        sharded.process(t);
+    }
+    sharded
 }
 
 #[test]
@@ -142,8 +159,8 @@ fn split_spreads_hot_work_across_shards() {
 
 #[test]
 fn parallel_routers_are_bit_exact_across_the_sweep() {
-    // The tentpole invariant: for R ∈ {1,2,4} × shards ∈ {1,2,4,8},
-    // every shard's table state is bit-identical to broadcast (and thus
+    // For R ∈ {1,2,4} × shards ∈ {1,2,4,8}, every shard's table state
+    // is bit-identical to the sequential per-shard reference (and thus
     // to R = 1). Tiny tables force eviction churn, so any reordering in
     // the multi-router fan-in would surface as a snapshot diff.
     let transactions = skewed_transactions();
@@ -164,11 +181,11 @@ fn parallel_routers_are_bit_exact_across_the_sweep() {
     };
 
     for shards in [1usize, 2, 4, 8] {
-        let broadcast = snapshots(
-            PipelineConfig::with_shards(shards)
-                .batch_size(32)
-                .dispatch(Dispatch::Broadcast),
-        );
+        let reference: Vec<_> = sequential_shards(&transactions, &config, shards)
+            .shards()
+            .iter()
+            .map(|shard| shard.snapshot())
+            .collect();
         for routers in [1usize, 2, 4] {
             let routed = snapshots(
                 PipelineConfig::with_shards(shards)
@@ -176,8 +193,8 @@ fn parallel_routers_are_bit_exact_across_the_sweep() {
                     .routers(routers),
             );
             assert_eq!(
-                routed, broadcast,
-                "{routers} routers x {shards} shards diverged from broadcast"
+                routed, reference,
+                "{routers} routers x {shards} shards diverged from the sequential shards"
             );
         }
     }
@@ -273,26 +290,22 @@ fn explicit_admission_off_is_bit_exact_with_default() {
 }
 
 #[test]
-fn dispatch_modes_agree_under_table_overflow() {
-    // Tiny tables force constant eviction; broadcast and routed (split
-    // off) must still produce identical per-shard state, so the merged
-    // views agree too.
+fn routed_and_sequential_shards_agree_under_table_overflow() {
+    // Tiny tables force constant eviction; the routed pipeline (split
+    // off) and the sequential per-shard reference must still produce
+    // identical per-shard state, so the merged views agree too.
     let transactions = skewed_transactions();
     let config = AnalyzerConfig::with_capacity(32).item_capacity(16);
 
     for shards in [1usize, 2, 4, 8] {
-        let (broadcast, _) = run_pipeline(
-            &transactions,
-            &config,
-            PipelineConfig::with_shards(shards)
-                .batch_size(32)
-                .dispatch(Dispatch::Broadcast),
-        );
+        let reference = sequential_shards(&transactions, &config, shards)
+            .snapshot()
+            .frequent_pairs(1);
         let (routed, _) = run_pipeline(
             &transactions,
             &config,
             PipelineConfig::with_shards(shards).batch_size(32),
         );
-        assert_eq!(broadcast, routed, "{shards} shards under overflow");
+        assert_eq!(reference, routed, "{shards} shards under overflow");
     }
 }

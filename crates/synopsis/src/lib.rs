@@ -46,7 +46,6 @@ mod delta;
 mod live;
 mod map_table;
 mod reference;
-mod reference_table;
 mod sharded;
 mod snapshot;
 mod table;

@@ -247,8 +247,8 @@ impl LiveView {
     /// Merged lifetime counters at the folded boundary, with the
     /// [`ShardedAnalyzer::stats`](crate::ShardedAnalyzer::stats)
     /// conventions: record counters sum across mirrors; the transaction
-    /// count is taken from mirror 0 (authoritative under broadcast,
-    /// zero under routed dispatch where the front-end counts).
+    /// count is taken from mirror 0 (authoritative for sequentially fed
+    /// shards, zero for routed shards, whose front-end counts).
     pub fn stats(&self) -> AnalyzerStats {
         let mut merged = AnalyzerStats::default();
         for mirror in &self.mirrors {

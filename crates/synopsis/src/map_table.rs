@@ -1,21 +1,23 @@
-//! The previous-generation two-tier table, preserved as the bit-exact
-//! oracle for the open-addressing [`TwoTierTable`](crate::TwoTierTable).
+//! The HashMap-index two-tier table: the bit-exact oracle for the
+//! open-addressing [`TwoTierTable`](crate::TwoTierTable), and the table
+//! under [`ReferenceAnalyzer`](crate::ReferenceAnalyzer).
 //!
-//! [`MapTable`] is the PR-1..9 implementation verbatim: a
-//! `std::HashMap<K, usize>` index into a separate `Node` slab, with
-//! `usize` recency links. It stores every key twice (once in the map,
-//! once in the node) and chases pointers across two allocations — the
-//! exact costs the open-addressing rewrite removes — but its policy
-//! behaviour (hit/miss, promotion, demotion, eviction, seeding, delta
-//! extraction) is the reference semantics both tables must share.
+//! [`MapTable`] is a `std::HashMap<K, usize>` index into a separate
+//! `Node` slab, with `usize` recency links. It stores every key twice
+//! (once in the map, once in the node) and chases pointers across two
+//! allocations — the costs the open-addressing table avoids — but its
+//! policy behaviour (hit/miss, promotion, demotion, eviction, seeding,
+//! delta extraction) is the reference semantics both tables must share.
 //!
-//! It is kept for the same reason `ReferenceTwoTierTable` and the
-//! generic miners were kept: every policy-bearing rewrite needs a live
-//! oracle. The `table_properties` proptest and the `table` sweep of the
-//! `ingest_throughput` harness drive random and fixed operation streams
-//! through both tables and require identical [`Record`] returns,
-//! [`TableStats`], iteration order and delta streams; the
-//! `table_record` criterion bench reports the open-vs-map delta rows.
+//! Every policy-bearing rewrite needs a live oracle, and this is the
+//! one for the table seam. The `table_properties` proptest and the
+//! `table` sweep of the `ingest_throughput` harness drive random and
+//! fixed operation streams through both tables and require identical
+//! [`Record`] returns, [`TableStats`], iteration order and delta
+//! streams; the same sweep reports the open-vs-map bytes per entry and
+//! record speed. The hasher is a type parameter:
+//! [`ReferenceAnalyzer`](crate::ReferenceAnalyzer) instantiates it with
+//! SipHash (`RandomState`).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -69,9 +71,9 @@ impl List {
     }
 }
 
-/// The HashMap-index two-tier table: the pre-open-addressing
-/// implementation of [`TwoTierTable`](crate::TwoTierTable), preserved
-/// as its bit-exact oracle and criterion baseline (see the module
+/// The HashMap-index two-tier table: the bit-exact oracle of
+/// [`TwoTierTable`](crate::TwoTierTable) and the table under
+/// [`ReferenceAnalyzer`](crate::ReferenceAnalyzer) (see the module
 /// docs).
 ///
 /// Public API and policy semantics are identical to

@@ -1,11 +1,12 @@
 //! The pre-optimization analyzer, kept as a golden reference.
 //!
-//! [`ReferenceAnalyzer`] preserves the original implementation of the
-//! online analysis module byte-for-byte in behaviour: SipHash
-//! (`RandomState`) hash maps, the seed-era two-tier table with its double
-//! hash probe on the miss path, a per-`process` `Vec` with an O(N²)
-//! `contains` dedup, and `HashSet` pair-index values that allocate on the
-//! hot path. It exists for two reasons:
+//! [`ReferenceAnalyzer`] is the straightforward implementation of the
+//! online analysis module: its two tables are
+//! [`MapTable<_, RandomState>`](MapTable) (a SipHash `HashMap` index into
+//! a node slab, a single hash probe per record), and it keeps a
+//! per-`process` `Vec` with an O(N²) `contains` dedup and a SipHash
+//! pair index whose `HashSet` values allocate on the hot path. It exists
+//! for two reasons:
 //!
 //! * **equivalence oracle** — the optimized [`OnlineAnalyzer`] must
 //!   produce identical snapshots on any transaction stream (same policy,
@@ -19,19 +20,20 @@
 //! code should use [`OnlineAnalyzer`] or
 //! [`ShardedAnalyzer`](crate::ShardedAnalyzer).
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 
 use rtdac_types::{Extent, ExtentPair, Transaction};
 
 use crate::analyzer::{AnalyzerConfig, AnalyzerStats, Snapshot};
-use crate::reference_table::ReferenceTwoTierTable;
+use crate::map_table::MapTable;
 
 /// The original, allocating, SipHash-based online analyzer.
 #[derive(Clone, Debug)]
 pub struct ReferenceAnalyzer {
     config: AnalyzerConfig,
-    items: ReferenceTwoTierTable<Extent>,
-    pairs: ReferenceTwoTierTable<ExtentPair>,
+    items: MapTable<Extent, RandomState>,
+    pairs: MapTable<ExtentPair, RandomState>,
     pair_index: HashMap<Extent, HashSet<ExtentPair>>,
     stats: AnalyzerStats,
 }
@@ -39,12 +41,12 @@ pub struct ReferenceAnalyzer {
 impl ReferenceAnalyzer {
     /// Creates a reference analyzer with the given configuration.
     pub fn new(config: AnalyzerConfig) -> Self {
-        let items = ReferenceTwoTierTable::new(
+        let items = MapTable::with_hasher(
             config.item_capacity_per_tier,
             config.item_capacity_per_tier,
             config.promote_threshold,
         );
-        let pairs = ReferenceTwoTierTable::new(
+        let pairs = MapTable::with_hasher(
             config.correlation_capacity_per_tier,
             config.correlation_capacity_per_tier,
             config.promote_threshold,
@@ -148,8 +150,16 @@ impl ReferenceAnalyzer {
     /// A copy of both tables' contents at this instant.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            pairs: self.pairs.entries(),
-            items: self.items.entries(),
+            pairs: self
+                .pairs
+                .iter()
+                .map(|(p, tally, tier)| (*p, tally, tier))
+                .collect(),
+            items: self
+                .items
+                .iter()
+                .map(|(e, tally, tier)| (*e, tally, tier))
+                .collect(),
         }
     }
 

@@ -297,9 +297,10 @@ impl ShardedAnalyzer {
     }
 
     /// Merged lifetime counters. The record counters sum across shards.
-    /// Under broadcast dispatch every shard observes every transaction,
-    /// so the transaction count is taken from one shard; under routed
-    /// dispatch the front-end's count (passed to
+    /// Sequentially fed shards ([`process`](ShardedAnalyzer::process))
+    /// each observe every transaction, so the transaction count is
+    /// taken from one shard; for routed shards the front-end's count
+    /// (passed to
     /// [`from_routed_shards`](ShardedAnalyzer::from_routed_shards)) is
     /// authoritative.
     pub fn stats(&self) -> AnalyzerStats {

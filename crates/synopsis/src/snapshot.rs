@@ -117,10 +117,10 @@ impl SynopsisSnapshot {
             stats.pair_rejections += s.pair_rejections;
             stats.correlated_demotions += s.correlated_demotions;
         }
-        // Broadcast-fed and sequential shards each count every
-        // transaction, so one shard's counter is the stream total;
-        // routed shards count none and the front-end's figure is
-        // carried outside the analyzers (`PipelineStats.transactions`).
+        // Sequentially fed shards each count every transaction, so one
+        // shard's counter is the stream total; routed shards count none
+        // and the front-end's figure is carried outside the analyzers
+        // (`PipelineStats.transactions`).
         stats.transactions = shards[0].stats().transactions;
         SynopsisSnapshot {
             pairs: pairs.into_ordered(),

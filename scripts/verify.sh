@@ -11,6 +11,13 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> daemonbench tests (the end-to-end benchmark builds against the workspace API)"
+# daemonbench is its own package outside the workspace; testing it here
+# turns an API removal in the monitor or synopsis crates that breaks
+# the end-to-end benchmark into a CI failure rather than a
+# benchmark-run failure.
+cargo test -q --offline --manifest-path daemonbench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
