@@ -16,14 +16,19 @@
 //! never notice. *Command* errors (no tenant bound, tenant cap,
 //! eviction races) are reported in-band and leave the connection
 //! usable.
+//!
+//! Every wait is a blocking one: the accept loop blocks in `accept()`,
+//! connection threads block reading their socket, and the idle sweeper
+//! sleeps out its period. A `Shutdown` frame wakes each of them
+//! explicitly, so an idle daemon spends no CPU on timers.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -45,7 +50,7 @@ pub struct ServiceConfig {
     /// Latency assigned to issue events whose completion never
     /// arrives, matching the offline readers' default.
     pub default_latency: Duration,
-    /// How often the accept loop sweeps for idle tenants to park.
+    /// How often the idle sweeper looks for idle tenants to park.
     pub idle_sweep: Duration,
 }
 
@@ -64,10 +69,114 @@ impl Default for ServiceConfig {
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Read timeout while a frame is in flight (half-open protection).
+/// Between frames a timeout only re-arms the wait.
 const MID_FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Poll granularity of the accept loop and idle connections.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// How long the accept loop pauses when the process or system is out
+/// of file descriptors, so it does not spin while none are freed.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Daemon-wide state shared by the accept loop, the idle sweeper and
+/// every connection thread.
+struct Daemon {
+    runtime: TenantRuntime,
+    default_latency: Duration,
+    shutdown: AtomicBool,
+    /// Where a loopback connect reaches the listener: the wake-up for
+    /// an accept loop blocked in `accept()`.
+    wake_addr: SocketAddr,
+    /// Every connection's socket. The handler thread owns the `Arc`,
+    /// so a socket closes the moment its handler exits; shutdown
+    /// upgrades the ones still open and shuts their read halves, which
+    /// wakes a handler blocked waiting for its next frame.
+    connections: Mutex<Vec<Weak<TcpStream>>>,
+}
+
+impl Daemon {
+    /// Flags shutdown and wakes the accept loop with one loopback
+    /// connect. Only the first call connects.
+    fn request_shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            // The accept loop drops this connection unserved. Should
+            // the connect fail, the next client to arrive wakes it.
+            let _ = TcpStream::connect(self.wake_addr);
+        }
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Records a new connection's socket, dropping entries whose
+    /// handlers have exited.
+    fn register(&self, stream: &Arc<TcpStream>) {
+        let mut connections = self
+            .connections
+            .lock()
+            .expect("connection registry poisoned");
+        connections.retain(|conn| conn.strong_count() > 0);
+        connections.push(Arc::downgrade(stream));
+    }
+
+    /// Wakes every connection handler still blocked on its socket: a
+    /// shut read half reads as EOF once the buffered bytes are gone.
+    fn hang_up_readers(&self) {
+        let connections = std::mem::take(
+            &mut *self
+                .connections
+                .lock()
+                .expect("connection registry poisoned"),
+        );
+        for stream in connections.iter().filter_map(Weak::upgrade) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// The address a local connect reaches `bound` on: a wildcard bind is
+/// reached through the loopback address of its family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// What the accept loop does after a failed `accept()`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AcceptFailure {
+    /// The failure belongs to one connection (it was aborted or reset
+    /// before it was accepted, or the call was interrupted): accept
+    /// the next one.
+    Retry,
+    /// File descriptors ran out: pause, then accept again once
+    /// connections have closed.
+    Backoff,
+    /// The listener itself is broken: stop serving.
+    Fatal,
+}
+
+/// `EMFILE`/`ENFILE`, numbered alike on Linux, macOS and the BSDs.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+
+/// Sorts an `accept()` error into transient and fatal. Linux also
+/// reports a pending network error of the new connection through
+/// `accept()`, and Windows a connection reset before it was accepted;
+/// those are the new connection's failure, not the listener's.
+fn classify_accept_error(error: &io::Error) -> AcceptFailure {
+    use io::ErrorKind::*;
+    match error.kind() {
+        ConnectionAborted | ConnectionReset | Interrupted | HostUnreachable
+        | NetworkUnreachable | NetworkDown => AcceptFailure::Retry,
+        _ if cfg!(unix) && matches!(error.raw_os_error(), Some(EMFILE | ENFILE)) => {
+            AcceptFailure::Backoff
+        }
+        _ => AcceptFailure::Fatal,
+    }
+}
 
 /// Bytes of framed ingest buffered ahead of the decoder.
 struct FeedState {
@@ -121,9 +230,7 @@ impl Read for ChunkFeed {
 /// Per-connection state: the bound tenant plus this connection's
 /// ingest session (decoder + D/C pairing window).
 struct Connection {
-    runtime: Arc<TenantRuntime>,
-    shutdown: Arc<AtomicBool>,
-    default_latency: Duration,
+    daemon: Arc<Daemon>,
     tenant: Option<Arc<Mutex<Tenant>>>,
     feed: ChunkFeed,
     source: BlktraceEventSource<ChunkFeed>,
@@ -164,17 +271,11 @@ impl Reply {
 }
 
 impl Connection {
-    fn new(
-        runtime: Arc<TenantRuntime>,
-        shutdown: Arc<AtomicBool>,
-        default_latency: Duration,
-    ) -> Self {
+    fn new(daemon: Arc<Daemon>) -> Self {
         let feed = ChunkFeed::new();
-        let source = BlktraceEventSource::new(feed.clone(), default_latency);
+        let source = BlktraceEventSource::new(feed.clone(), daemon.default_latency);
         Connection {
-            runtime,
-            shutdown,
-            default_latency,
+            daemon,
             tenant: None,
             feed,
             source,
@@ -247,15 +348,17 @@ impl Connection {
                 let Ok(id) = std::str::from_utf8(&frame.payload) else {
                     return Reply::fatal("tenant id is not utf-8".into());
                 };
-                match self.runtime.open(id) {
+                match self.daemon.runtime.open(id) {
                     Ok(tenant) => {
                         self.tenant = Some(tenant);
                         // A fresh ingest session per binding: decoder
                         // and pairing window reset, the tenant's
                         // pipeline state persists.
                         self.feed = ChunkFeed::new();
-                        self.source =
-                            BlktraceEventSource::new(self.feed.clone(), self.default_latency);
+                        self.source = BlktraceEventSource::new(
+                            self.feed.clone(),
+                            self.daemon.default_latency,
+                        );
                         self.events = 0;
                         Reply::ack()
                     }
@@ -349,19 +452,19 @@ impl Connection {
             }
             FrameKind::ListTenants => Reply::ok(
                 FrameKind::TenantList,
-                encode_tenant_list(&self.runtime.tenant_ids()),
+                encode_tenant_list(&self.daemon.runtime.tenant_ids()),
             ),
             FrameKind::Evict => {
                 let Ok(id) = std::str::from_utf8(&frame.payload) else {
                     return Reply::fatal("tenant id is not utf-8".into());
                 };
-                match self.runtime.evict(id) {
+                match self.daemon.runtime.evict(id) {
                     Some(_) => Reply::ack(),
                     None => Reply::error(format!("unknown tenant: {id}")),
                 }
             }
             FrameKind::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.daemon.request_shutdown();
                 Reply {
                     frame: (FrameKind::Ack, Vec::new()),
                     hangup: true,
@@ -393,71 +496,111 @@ impl Connection {
 
 /// Serves connections on `listener` until a `Shutdown` frame arrives,
 /// then drains every tenant and returns. Each connection gets its own
-/// thread; the accept loop doubles as the idle-park sweeper.
+/// thread, and a sweeper thread parks idle tenants every
+/// [`ServiceConfig::idle_sweep`]. Transient `accept()` failures are
+/// survived; `Err` means the listener itself failed, and even then every
+/// tenant is drained first.
 pub fn serve(listener: TcpListener, config: ServiceConfig) -> io::Result<()> {
-    let runtime = Arc::new(TenantRuntime::new(config.runtime.clone()));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let daemon = Arc::new(Daemon {
+        runtime: TenantRuntime::new(config.runtime.clone()),
+        default_latency: config.default_latency,
+        shutdown: AtomicBool::new(false),
+        wake_addr: wake_address(listener.local_addr()?),
+        connections: Mutex::new(Vec::new()),
+    });
+    let sweeper = {
+        let daemon = Arc::clone(&daemon);
+        thread::Builder::new()
+            .name("rtdacd-sweeper".into())
+            .spawn(move || sweep_idle(&daemon, config.idle_sweep))?
+    };
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut last_sweep = Instant::now();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let runtime = Arc::clone(&runtime);
-                let shutdown = Arc::clone(&shutdown);
-                let default_latency = config.default_latency;
-                workers.push(thread::spawn(move || {
-                    // A broken connection already cleaned up after
-                    // itself; nothing to report.
-                    let _ = handle_connection(stream, runtime, shutdown, default_latency);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(e) => return Err(e),
-        }
-        workers.retain(|w| !w.is_finished());
-        if last_sweep.elapsed() >= config.idle_sweep {
-            runtime.park_idle();
-            last_sweep = Instant::now();
-        }
-    }
+    let result = accept_until_shutdown(&listener, &daemon, &mut workers);
+    // Stop everything else, whichever way the accept loop ended. The
+    // flag is set before each wake-up, so no waiter can miss it.
+    daemon.shutdown.store(true, Ordering::SeqCst);
+    sweeper.thread().unpark();
+    daemon.hang_up_readers();
     for worker in workers {
         let _ = worker.join();
     }
-    runtime.shutdown();
-    Ok(())
+    let _ = sweeper.join();
+    daemon.runtime.shutdown();
+    result
+}
+
+/// The accept loop: blocks in `accept()` and spawns one handler thread
+/// per connection until shutdown is requested.
+fn accept_until_shutdown(
+    listener: &TcpListener,
+    daemon: &Arc<Daemon>,
+    workers: &mut Vec<JoinHandle<()>>,
+) -> io::Result<()> {
+    loop {
+        let accepted = listener.accept();
+        if daemon.is_shutting_down() {
+            return Ok(());
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                let stream = Arc::new(stream);
+                daemon.register(&stream);
+                let daemon = Arc::clone(daemon);
+                workers.push(thread::spawn(move || {
+                    // A broken connection already cleaned up after
+                    // itself; nothing to report.
+                    let _ = handle_connection(&stream, daemon);
+                }));
+            }
+            Err(e) => match classify_accept_error(&e) {
+                AcceptFailure::Retry => {}
+                AcceptFailure::Backoff => thread::sleep(ACCEPT_BACKOFF),
+                AcceptFailure::Fatal => return Err(e),
+            },
+        }
+        workers.retain(|w| !w.is_finished());
+    }
+}
+
+/// The idle sweeper: parks idle tenants every `period` until shutdown,
+/// which unparks it.
+fn sweep_idle(daemon: &Daemon, period: Duration) {
+    let mut next = Instant::now() + period;
+    while !daemon.is_shutting_down() {
+        let now = Instant::now();
+        if now < next {
+            thread::park_timeout(next - now);
+            continue;
+        }
+        daemon.runtime.park_idle();
+        next = now + period;
+    }
 }
 
 /// One connection's read-dispatch-write loop.
-fn handle_connection(
-    mut stream: TcpStream,
-    runtime: Arc<TenantRuntime>,
-    shutdown: Arc<AtomicBool>,
-    default_latency: Duration,
-) -> io::Result<()> {
-    let mut connection = Connection::new(runtime, shutdown, default_latency);
+fn handle_connection(stream: &TcpStream, daemon: Arc<Daemon>) -> io::Result<()> {
+    let mut connection = Connection::new(daemon);
+    // One timeout for the connection's life: it bounds a stalled
+    // mid-frame read, while between frames it only re-arms the wait.
+    // Shutdown wakes an idle wait by shutting the read half (EOF).
+    stream.set_read_timeout(Some(MID_FRAME_TIMEOUT))?;
+    let mut io = stream;
     loop {
-        // Wait for the next frame at poll granularity so a daemon
-        // shutdown (or this client going away) is noticed promptly,
-        // then read the frame with the longer mid-frame timeout.
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
         match stream.peek(&mut [0u8; 1]) {
-            Ok(0) => return Ok(()), // client closed
+            Ok(0) => return Ok(()), // client closed, or daemon shutdown
             Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if connection.shutdown.load(Ordering::SeqCst) {
+                if connection.daemon.is_shutting_down() {
                     return Ok(());
                 }
                 continue;
             }
             Err(e) => return Err(e),
         }
-        stream.set_read_timeout(Some(MID_FRAME_TIMEOUT))?;
-        let reply = match read_frame(&mut stream) {
+        let reply = match read_frame(&mut io) {
             Ok(frame) => connection.handle(frame),
             Err(WireError::Io(e)) => return Err(e),
             // Protocol garbage: answer once, then hang up. The
@@ -466,10 +609,68 @@ fn handle_connection(
             Err(e) => Reply::fatal(e.to_string()),
         };
         let (kind, payload) = reply.frame;
-        write_frame(&mut stream, kind, &payload)?;
-        stream.flush()?;
+        write_frame(&mut io, kind, &payload)?;
+        io.flush()?;
         if reply.hangup {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_errors_of_one_connection_are_retried() {
+        for kind in [
+            io::ErrorKind::ConnectionAborted,
+            io::ErrorKind::ConnectionReset,
+            io::ErrorKind::Interrupted,
+            io::ErrorKind::NetworkUnreachable,
+        ] {
+            assert_eq!(
+                classify_accept_error(&io::Error::from(kind)),
+                AcceptFailure::Retry,
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn descriptor_exhaustion_backs_off() {
+        for errno in [EMFILE, ENFILE] {
+            assert_eq!(
+                classify_accept_error(&io::Error::from_raw_os_error(errno)),
+                AcceptFailure::Backoff,
+                "errno {errno}"
+            );
+        }
+    }
+
+    #[test]
+    fn listener_failures_are_fatal() {
+        for kind in [
+            io::ErrorKind::InvalidInput,
+            io::ErrorKind::PermissionDenied,
+            io::ErrorKind::Other,
+        ] {
+            assert_eq!(
+                classify_accept_error(&io::Error::from(kind)),
+                AcceptFailure::Fatal,
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wildcard_binds_wake_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:7000".parse().unwrap();
+        assert_eq!(wake_address(v4), "127.0.0.1:7000".parse().unwrap());
+        let v6: SocketAddr = "[::]:7000".parse().unwrap();
+        assert_eq!(wake_address(v6), "[::1]:7000".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:7000".parse().unwrap();
+        assert_eq!(wake_address(bound), bound);
     }
 }

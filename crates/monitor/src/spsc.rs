@@ -16,11 +16,13 @@
 //! waiter raises a `waiting` flag before its final re-check, the
 //! publisher stores its index before reading the flag, and SeqCst fences
 //! order the two, so a publication can never slip between re-check and
-//! park (a 1 ms `park_timeout` backstops the proof). Parking matters two
-//! ways: an idle worker stops competing for scheduler quanta, and —
-//! unlike the sleep-polling tier it replaced — a batch arriving while
-//! the worker waits pays one unpark, not the remainder of a poll period,
-//! which is what kept routed p99 service latency in the milliseconds.
+//! park. A parked endpoint therefore sleeps with no timeout: it wakes
+//! on a publish or a close and never otherwise, so an idle worker costs
+//! no CPU at all. Parking matters two ways: an idle worker stops
+//! competing for scheduler quanta, and — unlike the sleep-polling tier
+//! it replaced — a batch arriving while the worker waits pays one
+//! unpark, not the remainder of a poll period, which is what kept
+//! routed p99 service latency in the milliseconds.
 //!
 //! # Examples
 //!
@@ -47,15 +49,10 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Thread;
-use std::time::Duration;
 
-/// Safety-net cap on a single park while waiting on the ring. Wake-ups
-/// are event-driven (the opposite endpoint unparks on publish and on
-/// close), so this timeout never bounds latency — it only bounds the
-/// damage of a hypothetically lost wake-up, and an idle parked thread
-/// costs one spurious wake per millisecond instead of the steady
-/// scheduler churn a sleep-polling loop would.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+/// Failed attempts a blocking wait spends spinning (the first half)
+/// and yielding (the second half) before it parks.
+const SPIN_LIMIT: u32 = 128;
 
 /// One endpoint's park/wake handshake. The would-be waiter registers its
 /// thread handle and raises `waiting` *before* re-checking the ring; the
@@ -66,9 +63,15 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 /// slip between the final re-check and the park.
 struct Waiter {
     waiting: AtomicBool,
-    /// The waiter's thread handle, registered once on first park. The
-    /// mutex is uncontended except at the instant of a wake.
+    /// The thread that last prepared to park. Re-registered on every
+    /// prepare: an endpoint is `Send`, so the pipeline that owns it may
+    /// block on it from a different thread next time (a tenant moves
+    /// between connection threads and the idle sweeper). The mutex is
+    /// uncontended except at the instant of a wake.
     thread: Mutex<Option<Thread>>,
+    /// Parks taken, so tests can prove a wait really parked.
+    #[cfg(test)]
+    parks: AtomicUsize,
 }
 
 impl Waiter {
@@ -76,26 +79,26 @@ impl Waiter {
         Waiter {
             waiting: AtomicBool::new(false),
             thread: Mutex::new(None),
+            #[cfg(test)]
+            parks: AtomicUsize::new(0),
         }
     }
 
     /// Announces intent to park. The caller must re-check the ring (and
     /// the closed flag) after this before actually parking.
     fn prepare(&self) {
-        {
-            let mut slot = self.thread.lock().expect("waiter mutex");
-            if slot.is_none() {
-                *slot = Some(std::thread::current());
-            }
-        }
+        *self.thread.lock().expect("waiter mutex") = Some(std::thread::current());
         self.waiting.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
     }
 
-    /// Parks the current thread (bounded by [`PARK_TIMEOUT`]). Tolerates
-    /// spurious and stale unparks; the caller loops and re-checks.
+    /// Parks the current thread until the opposite endpoint wakes it.
+    /// Tolerates spurious and stale unparks; the caller loops and
+    /// re-checks.
     fn park(&self) {
-        std::thread::park_timeout(PARK_TIMEOUT);
+        #[cfg(test)]
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        std::thread::park();
     }
 
     /// Withdraws the intent to park (the re-check found work, or a park
@@ -135,6 +138,9 @@ struct Ring<T> {
     consumer: Waiter,
     /// Park/wake handshake for a producer blocked on a full ring.
     producer: Waiter,
+    /// [`SPIN_LIMIT`] outside tests; zero makes every blocking wait
+    /// park at once.
+    spin_limit: u32,
 }
 
 // SAFETY: the ring is shared between exactly one producer and one
@@ -190,6 +196,10 @@ pub struct Receiver<T> {
 ///
 /// Panics if `capacity == 0`.
 pub fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
+    channel_with_spin_limit(capacity, SPIN_LIMIT)
+}
+
+fn channel_with_spin_limit<T: Send>(capacity: usize, spin_limit: u32) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "capacity must be positive");
     let capacity = capacity.next_power_of_two();
     let slots = (0..capacity)
@@ -204,6 +214,7 @@ pub fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         mask: capacity - 1,
         consumer: Waiter::new(),
         producer: Waiter::new(),
+        spin_limit,
     });
     (
         Sender {
@@ -259,9 +270,9 @@ impl<T: Send> Sender<T> {
                 Err(v) => {
                     value = v;
                     spins += 1;
-                    if spins < 64 {
+                    if spins < self.ring.spin_limit / 2 {
                         std::hint::spin_loop();
-                    } else if spins < 128 {
+                    } else if spins < self.ring.spin_limit {
                         std::thread::yield_now();
                     } else {
                         // Park until the consumer pops (it unparks us) —
@@ -362,9 +373,9 @@ impl<T: Send> Receiver<T> {
                 return self.try_recv();
             }
             spins += 1;
-            if spins < 64 {
+            if spins < self.ring.spin_limit / 2 {
                 std::hint::spin_loop();
-            } else if spins < 128 {
+            } else if spins < self.ring.spin_limit {
                 std::thread::yield_now();
             } else {
                 // Long-idle: park until the producer publishes (it
@@ -405,7 +416,8 @@ impl<T> Drop for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_within_capacity() {
@@ -502,8 +514,7 @@ mod tests {
     #[test]
     fn parked_consumer_wakes_on_send() {
         // The consumer outlasts the spin/yield ladder and parks; a send
-        // must unpark it promptly (well inside the test timeout, without
-        // relying on the park_timeout backstop alone).
+        // must unpark it (the park has no timeout to fall back on).
         let (tx, rx) = channel::<u32>(4);
         let consumer = std::thread::spawn(move || rx.recv());
         std::thread::sleep(Duration::from_millis(20)); // let it park
@@ -550,6 +561,83 @@ mod tests {
         assert_eq!(tx.occupancy(), 3);
         while rx.try_recv().is_some() {}
         assert_eq!(tx.occupancy(), 0);
+    }
+
+    /// Streams `items` through a ring whose every blocking wait parks at
+    /// once, under a watchdog: a lost wake-up leaves both endpoints
+    /// parked forever, which fails the test at the deadline instead of
+    /// hanging it. Returns the (producer, consumer) park counts.
+    fn stream_with_forced_parks(capacity: usize, items: u64) -> (usize, usize) {
+        let (tx, rx) = channel_with_spin_limit::<u64>(capacity, 0);
+        let ring = Arc::clone(&tx.ring);
+        let received = Arc::new(AtomicUsize::new(0));
+        let producer = std::thread::spawn(move || {
+            for v in 0..items {
+                tx.send(v).unwrap();
+            }
+        });
+        let progress = Arc::clone(&received);
+        let (done_tx, done_rx) = mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            let mut expected = 0u64;
+            while let Some(v) = rx.recv() {
+                assert_eq!(v, expected);
+                expected += 1;
+                progress.store(expected as usize, Ordering::Relaxed);
+            }
+            done_tx.send(expected).unwrap();
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(count) => assert_eq!(count, items),
+            Err(_) => panic!(
+                "lost wake-up: capacity {capacity} stalled after {} of {items} items",
+                received.load(Ordering::Relaxed)
+            ),
+        }
+        producer.join().unwrap();
+        consumer.join().unwrap();
+        (
+            ring.producer.parks.load(Ordering::Relaxed),
+            ring.consumer.parks.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn forced_parks_lose_no_wake_ups() {
+        for capacity in [1, 2] {
+            let (producer_parks, consumer_parks) = stream_with_forced_parks(capacity, 100_000);
+            assert!(
+                producer_parks > 0 && consumer_parks > 0,
+                "capacity {capacity}: both endpoints must park \
+                 (producer {producer_parks}, consumer {consumer_parks})"
+            );
+        }
+    }
+
+    #[test]
+    fn endpoint_parking_on_a_new_thread_is_woken_there() {
+        // A pipeline's endpoints follow it between threads (connection
+        // threads, the idle sweeper), so a wake must reach the thread
+        // parked now, not the one that parked first.
+        let (tx, rx) = channel_with_spin_limit::<u32>(1, 0);
+        let first = std::thread::spawn(move || {
+            let value = rx.recv();
+            (rx, value)
+        });
+        std::thread::sleep(Duration::from_millis(20)); // let it park
+        tx.send(1).unwrap();
+        let (rx, value) = first.join().unwrap();
+        assert_eq!(value, Some(1));
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(rx.recv()).unwrap());
+        std::thread::sleep(Duration::from_millis(20));
+        tx.send(2).unwrap();
+        let woken = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            woken,
+            Ok(Some(2)),
+            "the second thread's park was never woken"
+        );
     }
 
     #[test]

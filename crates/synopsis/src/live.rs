@@ -158,6 +158,28 @@ impl LiveView {
     /// total order over unique pairs, so the unstable sorts used here —
     /// chosen because stable sorts allocate — yield identical output.
     pub fn frequent_pairs_into(&mut self, min_tally: u32, out: &mut Vec<(ExtentPair, u32)>) {
+        self.strongest_pairs_into(min_tally, usize::MAX, out);
+    }
+
+    /// The `k` strongest stored correlations (any tally), strongest
+    /// first — [`frequent_pairs_into`](LiveView::frequent_pairs_into)
+    /// truncated to `k`, without sorting the pairs that cannot make
+    /// the cut.
+    pub fn top_pairs_into(&mut self, k: usize, out: &mut Vec<(ExtentPair, u32)>) {
+        self.strongest_pairs_into(1, k, out);
+    }
+
+    /// The first `limit` entries of the merged report over pairs with
+    /// tally at least `min_tally`. Each candidate list is cut to its
+    /// `limit` strongest by selection before it is sorted, and the
+    /// merge stops after `limit` outputs: the global top `limit` lies
+    /// within the union of every list's top `limit`.
+    fn strongest_pairs_into(
+        &mut self,
+        min_tally: u32,
+        limit: usize,
+        out: &mut Vec<(ExtentPair, u32)>,
+    ) {
         out.clear();
         if self.split_tallies {
             self.sums.clear();
@@ -172,7 +194,7 @@ impl LiveView {
                     .filter(|&(_, &tally)| tally >= min_tally)
                     .map(|(&pair, &tally)| (pair, tally)),
             );
-            out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            keep_strongest(out, limit);
             return;
         }
         for (mirror, list) in self.mirrors.iter().zip(self.lists.iter_mut()) {
@@ -184,7 +206,7 @@ impl LiveView {
                     .filter(|&(_, tally, _)| tally >= min_tally)
                     .map(|(pair, tally, _)| (*pair, tally)),
             );
-            list.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            keep_strongest(list, limit);
         }
         self.heap.clear();
         for (i, list) in self.lists.iter().enumerate() {
@@ -192,21 +214,16 @@ impl LiveView {
                 self.heap.push((tally, Reverse(pair), i, 0));
             }
         }
-        while let Some((tally, Reverse(pair), list, pos)) = self.heap.pop() {
+        while out.len() < limit {
+            let Some((tally, Reverse(pair), list, pos)) = self.heap.pop() else {
+                break;
+            };
             out.push((pair, tally));
             let next = pos + 1;
             if let Some(&(p, t)) = self.lists[list].get(next) {
                 self.heap.push((t, Reverse(p), list, next));
             }
         }
-    }
-
-    /// The `k` strongest stored correlations (any tally), strongest
-    /// first — [`frequent_pairs_into`](LiveView::frequent_pairs_into)
-    /// truncated to `k`.
-    pub fn top_pairs_into(&mut self, k: usize, out: &mut Vec<(ExtentPair, u32)>) {
-        self.frequent_pairs_into(1, out);
-        out.truncate(k);
     }
 
     /// Point query: the merged tally of `pair`, if stored. Without
@@ -299,6 +316,21 @@ impl LiveView {
                 * (std::mem::size_of::<ExtentPair>() + std::mem::size_of::<u32>());
         mirrors + scratch
     }
+}
+
+/// The report order: descending tally, then ascending pair.
+fn by_strength(a: &(ExtentPair, u32), b: &(ExtentPair, u32)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// Cuts `list` to its `limit` strongest entries, sorted strongest
+/// first. In-place selection and sorting: no allocation.
+fn keep_strongest(list: &mut Vec<(ExtentPair, u32)>, limit: usize) {
+    if limit < list.len() {
+        list.select_nth_unstable_by(limit, by_strength);
+        list.truncate(limit);
+    }
+    list.sort_unstable_by(by_strength);
 }
 
 /// Replays one table delta onto its mirror (see the module docs for
@@ -446,6 +478,61 @@ mod tests {
             assert_eq!(view.pair_tally(&pair), Some(tally));
         }
         assert_eq!(view.stats(), merged.stats());
+    }
+
+    /// `top_pairs_into(k)` must be the first `k` entries of the full
+    /// report, for every `k` around the edges, on `view`.
+    fn assert_top_k_is_report_prefix(view: &mut LiveView) {
+        let report = view.frequent_pairs(1);
+        let n = report.len();
+        assert!(n > 20, "need more than 20 stored pairs, have {n}");
+        let mut top = Vec::new();
+        for k in [0, 1, 20, n - 1, n, n + 5] {
+            view.top_pairs_into(k, &mut top);
+            assert_eq!(top, report[..k.min(n)], "k = {k} of {n}");
+        }
+    }
+
+    #[test]
+    fn top_k_is_a_prefix_of_the_report_on_both_merge_paths() {
+        // Per-mirror k-way merge: four routed shards.
+        let config = AnalyzerConfig::with_capacity(4 * 1024);
+        let shard_count = 4;
+        let mut shards = ShardedAnalyzer::new(config.clone(), shard_count).into_shards();
+        for shard in &mut shards {
+            shard.enable_delta_tracking();
+        }
+        let mut view = LiveView::new(&config, shard_count, false);
+        for t in stream(300) {
+            for (s, shard) in shards.iter_mut().enumerate() {
+                shard.process_partition(&t, s, shard_count);
+            }
+        }
+        let mut delta = ShardDelta::default();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            shard.extract_delta(&mut delta);
+            view.apply_delta(s, &delta);
+        }
+        assert_top_k_is_report_prefix(&mut view);
+
+        // Split tallies: one pair's partials spread over several
+        // mirrors, with many tied sums.
+        let shard_count = 3;
+        let mut shards = ShardedAnalyzer::new(config.clone(), shard_count).into_shards();
+        for shard in &mut shards {
+            shard.enable_delta_tracking();
+        }
+        let mut view = LiveView::new(&config, shard_count, true);
+        for i in 0..600u64 {
+            let (a, b) = (e(i % 17, 1), e(100 + i % 11, 1));
+            let pair = ExtentPair::new(a, b).unwrap();
+            shards[(i % 3) as usize].process_routed(&[a, b], &[pair]);
+        }
+        for (s, shard) in shards.iter_mut().enumerate() {
+            shard.extract_delta(&mut delta);
+            view.apply_delta(s, &delta);
+        }
+        assert_top_k_is_report_prefix(&mut view);
     }
 
     #[test]

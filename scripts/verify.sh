@@ -123,6 +123,16 @@ for TENANT in wdev stg; do
     diff "$SVC_DIR/$TENANT.live" "$SVC_DIR/$TENANT.oracle"
 done
 ./target/release/rtdacctl --addr "$ADDR" shutdown > /dev/null
+# The daemon's waits all block until something wakes them, so a lost
+# wake-up would hang here forever: give the exit a 10 s deadline.
+for _ in $(seq 1 100); do
+    kill -0 "$RTDACD_PID" 2> /dev/null || break
+    sleep 0.1
+done
+if kill -0 "$RTDACD_PID" 2> /dev/null; then
+    echo "rtdacd still running 10 s after Shutdown" >&2
+    exit 1
+fi
 wait "$RTDACD_PID"
 trap - EXIT
 rm -rf "$SVC_DIR"

@@ -1,11 +1,13 @@
 //! End-to-end tests of the `rtdacd` service loop over loopback TCP:
-//! multi-tenant bit-exactness against the offline reference, and
-//! protocol-error containment at the socket boundary.
+//! multi-tenant bit-exactness against the offline reference,
+//! protocol-error containment at the socket boundary, and the daemon's
+//! lifecycle: prompt shutdown past idle connections, and an idle daemon
+//! that uses no CPU.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtdac::monitor::{blktrace, serve, BlktraceEventSource, Monitor, ServiceConfig, TenantRuntime};
 use rtdac::synopsis::ReferenceAnalyzer;
@@ -235,4 +237,124 @@ fn queries_without_a_bound_tenant_are_command_errors() {
     client.open("t").expect("open");
     client.shutdown().expect("shutdown");
     daemon.join().expect("daemon exits");
+}
+
+#[test]
+fn shutdown_wakes_idle_bound_connections_promptly() {
+    let (addr, daemon) = spawn_daemon(service_config());
+    let idle: Vec<TcpStream> = ["a", "b"]
+        .into_iter()
+        .map(|id| {
+            let mut client = connect(addr);
+            client.open(id).expect("open");
+            client.into_inner()
+        })
+        .collect();
+    connect(addr).shutdown().expect("shutdown");
+    let requested = Instant::now();
+    while !daemon.is_finished() && requested.elapsed() < Duration::from_secs(1) {
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        daemon.is_finished(),
+        "serve still running 1 s after Shutdown with two idle connections"
+    );
+    daemon.join().expect("daemon exits");
+    for mut stream in idle {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut rest = Vec::new();
+        stream
+            .read_to_end(&mut rest)
+            .expect("idle client reads EOF");
+        assert!(rest.is_empty(), "idle client got unsolicited bytes");
+    }
+}
+
+/// Kills and reaps the daemon process if a test leaves it running.
+#[cfg(target_os = "linux")]
+struct ChildGuard(std::process::Child);
+
+#[cfg(target_os = "linux")]
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// User plus system CPU of process `pid` (all threads), in clock ticks.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    // Fields after the parenthesized command name start at field 3
+    // (state); utime and stime are fields 14 and 15.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split_whitespace()
+        .collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_daemon_uses_no_cpu() {
+    use std::process::{Command, Stdio};
+
+    let port_file = std::env::temp_dir().join(format!("rtdacd-idle-{}.port", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let mut daemon = ChildGuard(
+        Command::new(env!("CARGO_BIN_EXE_rtdacd"))
+            .arg("--port-file")
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn rtdacd"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let port = loop {
+        let published = std::fs::read_to_string(&port_file).ok();
+        if let Some(port) = published.and_then(|text| text.trim().parse::<u16>().ok()) {
+            break port;
+        }
+        assert!(Instant::now() < deadline, "rtdacd never published its port");
+        thread::sleep(Duration::from_millis(20));
+    };
+    let _ = std::fs::remove_file(&port_file);
+    let addr = std::net::SocketAddr::from(([127, 0, 0, 1], port));
+
+    // Two connections, each bound to its own tenant (so each tenant's
+    // shard workers are up and waiting), then silence.
+    let idle: Vec<_> = ["a", "b"]
+        .into_iter()
+        .map(|id| {
+            let mut client = connect(addr);
+            client.open(id).expect("open");
+            client
+        })
+        .collect();
+    thread::sleep(Duration::from_millis(300));
+    let pid = daemon.0.id();
+    let before = cpu_ticks(pid);
+    thread::sleep(Duration::from_secs(3));
+    let used = cpu_ticks(pid) - before;
+
+    connect(addr).shutdown().expect("shutdown");
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("wait rtdacd") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "rtdacd still running 10 s after Shutdown"
+        );
+        thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "rtdacd exited with {status}");
+    assert!(
+        used <= 1,
+        "idle rtdacd used {used} CPU ticks in 3 s (allowed: 1 tick)"
+    );
 }
