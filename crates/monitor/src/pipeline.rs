@@ -197,7 +197,16 @@ pub struct PipelineConfig {
 impl PipelineConfig {
     /// A pipeline with `shard_count` shards, one (inline) router, no
     /// hot-pair splitting, and the default batch size (64
-    /// transactions) and ring depth (64 batches).
+    /// transactions) and ring depth (16 batches).
+    ///
+    /// Each (router, shard) ring keeps its depth plus three work lists
+    /// in circulation, each grown to a batch's worth of routed pairs,
+    /// so the depth sets most of a pipeline's buffer memory: 19 lists
+    /// per shard at depth 16 against 67 at depth 64. Going shallower
+    /// costs throughput: a producer that finds its ring full parks and
+    /// is woken once per freed slot, and at depth 8 that cost about 4%
+    /// of the daemon's end-to-end ingest rate, where 16 cost nothing
+    /// measurable.
     ///
     /// # Panics
     ///
@@ -208,7 +217,7 @@ impl PipelineConfig {
             shard_count,
             routers: 1,
             batch_size: 64,
-            ring_capacity: 64,
+            ring_capacity: 16,
             split: None,
             controller: None,
             publish_interval_batches: 0,

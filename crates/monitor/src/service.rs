@@ -22,19 +22,16 @@
 //! sleeps out its period. A `Shutdown` frame wakes each of them
 //! explicitly, so an idle daemon spends no CPU on timers.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use rtdac_types::wire::{
-    decode_pair_query, encode_pairs, encode_stats, encode_tenant_list, read_frame, write_frame,
-    Frame, FrameKind, WireError, WireStats,
+    decode_pair_query, encode_pairs, encode_stats, encode_tenant_list, read_frame_into,
+    write_frame, FrameKind, WireError, WireStats,
 };
 use rtdac_types::EventSource;
 
@@ -178,61 +175,42 @@ fn classify_accept_error(error: &io::Error) -> AcceptFailure {
     }
 }
 
-/// Bytes of framed ingest buffered ahead of the decoder.
-struct FeedState {
-    buf: VecDeque<u8>,
+/// The connection's one frame buffer, and the `Read` the blktrace
+/// decoder pulls from: every frame's payload is read into `buf` in
+/// place, and the decoder consumes an ingest payload from `pos` on.
+/// Running dry is `WouldBlock` — *not* EOF — so the decoder parks with
+/// its partial-record state intact until the next ingest frame
+/// arrives; `IngestEnd` sets `eof` and turns dryness into a clean EOF.
+#[derive(Default)]
+struct ChunkFeed {
+    buf: Vec<u8>,
+    pos: usize,
     eof: bool,
-}
-
-/// The `Read` the blktrace decoder pulls from: frame payloads go in
-/// on one `Rc` handle, the decoder reads from the other. An empty
-/// buffer is `WouldBlock` — *not* EOF — so the decoder parks with its
-/// partial-record state intact until the next ingest frame arrives;
-/// `IngestEnd` turns emptiness into a clean EOF.
-#[derive(Clone)]
-struct ChunkFeed(Rc<RefCell<FeedState>>);
-
-impl ChunkFeed {
-    fn new() -> Self {
-        ChunkFeed(Rc::new(RefCell::new(FeedState {
-            buf: VecDeque::new(),
-            eof: false,
-        })))
-    }
-
-    fn push(&self, bytes: &[u8]) {
-        self.0.borrow_mut().buf.extend(bytes);
-    }
-
-    fn end(&self) {
-        self.0.borrow_mut().eof = true;
-    }
 }
 
 impl Read for ChunkFeed {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let mut state = self.0.borrow_mut();
-        if state.buf.is_empty() {
-            return if state.eof {
+        let rest = &self.buf[self.pos..];
+        if rest.is_empty() {
+            return if self.eof {
                 Ok(0)
             } else {
                 Err(io::Error::new(io::ErrorKind::WouldBlock, "awaiting frames"))
             };
         }
-        let (front, _) = state.buf.as_slices();
-        let n = front.len().min(out.len());
-        out[..n].copy_from_slice(&front[..n]);
-        state.buf.drain(..n);
+        let n = rest.len().min(out.len());
+        out[..n].copy_from_slice(&rest[..n]);
+        self.pos += n;
         Ok(n)
     }
 }
 
 /// Per-connection state: the bound tenant plus this connection's
-/// ingest session (decoder + D/C pairing window).
+/// ingest session (decoder + D/C pairing window, which owns the
+/// frame buffer).
 struct Connection {
     daemon: Arc<Daemon>,
     tenant: Option<Arc<Mutex<Tenant>>>,
-    feed: ChunkFeed,
     source: BlktraceEventSource<ChunkFeed>,
     /// Events this connection has pushed into its tenant.
     events: u64,
@@ -272,19 +250,53 @@ impl Reply {
 
 impl Connection {
     fn new(daemon: Arc<Daemon>) -> Self {
-        let feed = ChunkFeed::new();
-        let source = BlktraceEventSource::new(feed.clone(), daemon.default_latency);
+        let source = BlktraceEventSource::new(ChunkFeed::default(), daemon.default_latency);
         Connection {
             daemon,
             tenant: None,
-            feed,
             source,
             events: 0,
         }
     }
 
-    /// Drains every decodable event into the pipeline. `WouldBlock`
-    /// means the decoder needs more frames — not an error.
+    /// Reads the next frame's payload into the feed's buffer, over the
+    /// last frame's bytes: [`Connection::pump`] reads an ingest payload
+    /// to its end, and any other payload is consumed by its command.
+    /// An ingest payload refused because no tenant is bound (or it was
+    /// evicted) is overwritten unread. It could never be decoded: only
+    /// an `Open` makes ingest possible again, and it starts a fresh
+    /// session.
+    fn read_frame(&mut self, r: &mut impl Read) -> Result<FrameKind, WireError> {
+        let feed = self.source.get_mut();
+        feed.pos = 0;
+        read_frame_into(r, &mut feed.buf)
+    }
+
+    /// Answers the frame [`Connection::read_frame`] just read.
+    fn dispatch(&mut self, kind: FrameKind) -> Reply {
+        if kind == FrameKind::Ingest {
+            return match self.with_pipeline(true, |conn, pipeline| {
+                conn.pump(pipeline)
+                    .map_err(|e| Reply::fatal(format!("ingest decode failed: {e}")))
+            }) {
+                Ok(()) => Reply::ok(FrameKind::Ack, self.events.to_le_bytes().to_vec()),
+                Err(reply) => reply,
+            };
+        }
+        // Any other payload is a command argument, never decoder input:
+        // lend it to the command, then hand the buffer back consumed so
+        // its capacity carries over to the next frame.
+        let payload = std::mem::take(&mut self.source.get_mut().buf);
+        let reply = self.handle(kind, &payload);
+        let feed = self.source.get_mut();
+        feed.pos = payload.len();
+        feed.buf = payload;
+        reply
+    }
+
+    /// Drains every decodable event into the pipeline, which reads the
+    /// feed dry. `WouldBlock` means the decoder needs more frames — not
+    /// an error.
     fn pump(&mut self, pipeline: &mut IngestPipeline) -> io::Result<()> {
         loop {
             match self.source.next_event() {
@@ -342,10 +354,10 @@ impl Connection {
         }
     }
 
-    fn handle(&mut self, frame: Frame) -> Reply {
-        match frame.kind {
+    fn handle(&mut self, kind: FrameKind, payload: &[u8]) -> Reply {
+        match kind {
             FrameKind::Open => {
-                let Ok(id) = std::str::from_utf8(&frame.payload) else {
+                let Ok(id) = std::str::from_utf8(payload) else {
                     return Reply::fatal("tenant id is not utf-8".into());
                 };
                 match self.daemon.runtime.open(id) {
@@ -354,25 +366,14 @@ impl Connection {
                         // A fresh ingest session per binding: decoder
                         // and pairing window reset, the tenant's
                         // pipeline state persists.
-                        self.feed = ChunkFeed::new();
                         self.source = BlktraceEventSource::new(
-                            self.feed.clone(),
+                            ChunkFeed::default(),
                             self.daemon.default_latency,
                         );
                         self.events = 0;
                         Reply::ack()
                     }
                     Err(e) => Reply::error(e.to_string()),
-                }
-            }
-            FrameKind::Ingest => {
-                self.feed.push(&frame.payload);
-                match self.with_pipeline(true, |conn, pipeline| {
-                    conn.pump(pipeline)
-                        .map_err(|e| Reply::fatal(format!("ingest decode failed: {e}")))
-                }) {
-                    Ok(()) => Reply::ok(FrameKind::Ack, self.events.to_le_bytes().to_vec()),
-                    Err(reply) => reply,
                 }
             }
             FrameKind::Flush => match self.with_pipeline(true, |_, pipeline| {
@@ -383,7 +384,7 @@ impl Connection {
                 Err(reply) => reply,
             },
             FrameKind::IngestEnd => {
-                self.feed.end();
+                self.source.get_mut().eof = true;
                 match self.with_pipeline(true, |conn, pipeline| {
                     conn.pump(pipeline)
                         .map_err(|e| Reply::fatal(format!("ingest decode failed: {e}")))?;
@@ -395,7 +396,7 @@ impl Connection {
                 }
             }
             FrameKind::QueryTopK => {
-                let Ok(bytes) = <[u8; 4]>::try_from(&frame.payload[..]) else {
+                let Ok(bytes) = <[u8; 4]>::try_from(payload) else {
                     return Reply::fatal("top-k payload must be a u32".into());
                 };
                 let k = u32::from_le_bytes(bytes) as usize;
@@ -406,14 +407,14 @@ impl Connection {
                 })
             }
             FrameKind::QueryFrequent => {
-                let Ok(bytes) = <[u8; 4]>::try_from(&frame.payload[..]) else {
+                let Ok(bytes) = <[u8; 4]>::try_from(payload) else {
                     return Reply::fatal("frequent-pairs payload must be a u32".into());
                 };
                 let min_tally = u32::from_le_bytes(bytes);
                 self.query(|view| view.frequent_pairs(min_tally))
             }
             FrameKind::QueryPair => {
-                let pair = match decode_pair_query(&frame.payload) {
+                let pair = match decode_pair_query(payload) {
                     Ok(pair) => pair,
                     Err(e) => return Reply::fatal(e.to_string()),
                 };
@@ -455,7 +456,7 @@ impl Connection {
                 encode_tenant_list(&self.daemon.runtime.tenant_ids()),
             ),
             FrameKind::Evict => {
-                let Ok(id) = std::str::from_utf8(&frame.payload) else {
+                let Ok(id) = std::str::from_utf8(payload) else {
                     return Reply::fatal("tenant id is not utf-8".into());
                 };
                 match self.daemon.runtime.evict(id) {
@@ -471,7 +472,7 @@ impl Connection {
                 }
             }
             // Response kinds arriving at the server are protocol abuse.
-            _ => Reply::fatal(format!("unexpected frame kind {:?}", frame.kind)),
+            _ => Reply::fatal(format!("unexpected frame kind {kind:?}")),
         }
     }
 
@@ -600,8 +601,8 @@ fn handle_connection(stream: &TcpStream, daemon: Arc<Daemon>) -> io::Result<()> 
             }
             Err(e) => return Err(e),
         }
-        let reply = match read_frame(&mut io) {
-            Ok(frame) => connection.handle(frame),
+        let reply = match connection.read_frame(&mut io) {
+            Ok(kind) => connection.dispatch(kind),
             Err(WireError::Io(e)) => return Err(e),
             // Protocol garbage: answer once, then hang up. The
             // stream position is undefined, so reading on would only

@@ -18,14 +18,19 @@
 //!   oracle's unmatched-issue rule. For any capture whose outstanding
 //!   queue depth fits the window (real block layers are bounded by the
 //!   device queue), the emitted events are **identical** to the
-//!   oracle's.
+//!   oracle's. The pairing index holds only *unresolved* issues — a key
+//!   is dropped the moment its last unresolved issue resolves or is
+//!   force-emitted — so the decoder's memory is set by the work in
+//!   flight, never by how many distinct requests the stream has seen.
 //! * [`replay`] drives an [`IngestPipeline`] straight from any
 //!   [`EventSource`] at full speed or at recorded-timestamp pacing —
 //!   the paper's accelerated-replay knob, but from disk.
 //!
-//! After warm-up (chunk buffer, pending ring and pairing map at their
-//! high-water marks), pulling the next event allocates nothing; the
-//! `zero_alloc` suite holds the whole decode hot path to that.
+//! After warm-up (chunk buffer, pending ring and pairing index at
+//! their high-water marks, which the in-flight depth bounds), pulling
+//! the next event allocates nothing, on any stream; the `zero_alloc`
+//! suite holds the whole decode hot path to that, including a stream
+//! in which no extent ever repeats.
 
 use std::collections::VecDeque;
 use std::io::{self, Read};
@@ -44,6 +49,14 @@ pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 /// force-emitted with the default latency. Real device queues are a few
 /// hundred deep; 64 Ki outstanding means pathological input, not a real
 /// capture.
+///
+/// The bound caps a [`BlktraceEventSource`]'s memory. Each pending
+/// issue takes 80 bytes in the pending ring and at most one 32-byte
+/// index entry (plus a control byte per bucket), so a stream that keeps
+/// `Q` issues outstanding holds about 113·`Q` bytes, each structure
+/// rounded up to a power of two. At this default the worst case, a
+/// stream that keeps 64 Ki issues unresolved, rounds both to 128 Ki
+/// slots: about 10 MiB of pending ring and 4 MiB of index.
 pub const DEFAULT_MAX_INFLIGHT: usize = 64 * 1024;
 
 /// Chunked zero-copy reader for the blktrace-style binary stream: one
@@ -140,9 +153,18 @@ impl<R: Read> BlktraceReader<R> {
     }
 }
 
+/// What a completion is paired by: the raw `(sector, blocks, pid)` of
+/// the record, exactly as the oracle pairs it.
+type PairKey = (u64, u32, u32);
+
 /// An issue waiting in the emission queue for its completion.
 struct Pending {
     event: IoEvent,
+    key: PairKey,
+    /// Sequence number of the next unresolved issue with the same key.
+    /// Meaningful only while this issue is unresolved and not the
+    /// newest on its key's chain.
+    next: u64,
     resolved: bool,
 }
 
@@ -157,10 +179,11 @@ pub struct BlktraceEventSource<R: Read> {
     /// front element is `front_seq`.
     pending: VecDeque<Pending>,
     front_seq: u64,
-    /// (sector, blocks, pid) → sequence numbers of unresolved issues,
-    /// FIFO — the same pairing rule as the oracle. Stale entries
-    /// (issues force-emitted past the window) are skipped lazily.
-    inflight: FxHashMap<(u64, u32, u32), VecDeque<u64>>,
+    /// Key → (oldest, newest) sequence numbers of its *unresolved*
+    /// issues, chained oldest-first through [`Pending::next`]: the
+    /// oracle's FIFO pairing rule. A key leaves the index when its
+    /// chain empties, so the index never outgrows `pending`.
+    inflight: FxHashMap<PairKey, (u64, u64)>,
     done: bool,
 }
 
@@ -199,10 +222,74 @@ impl<R: Read> BlktraceEventSource<R> {
         self.records.bytes_read()
     }
 
+    /// The underlying reader, for a caller that feeds it in place.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.records.reader
+    }
+
     fn emit_front(&mut self) -> IoEvent {
         let front = self.pending.pop_front().expect("front exists");
         self.front_seq += 1;
+        // An unresolved front is force-emitted. Every older issue is
+        // gone, so it is its key's oldest unresolved issue.
+        if !front.resolved {
+            unlink_oldest(&mut self.inflight, front.key, front.next);
+        }
         front.event
+    }
+
+    fn issue(&mut self, record: &BlktraceRecord) -> io::Result<()> {
+        let extent = Extent::new(record.sector, record.blocks.max(1))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let key = (record.sector, record.blocks, record.pid);
+        let seq = self.front_seq + self.pending.len() as u64;
+        match self.inflight.get_mut(&key) {
+            Some(chain) => {
+                let newest = std::mem::replace(&mut chain.1, seq);
+                self.pending[(newest - self.front_seq) as usize].next = seq;
+            }
+            None => {
+                self.inflight.insert(key, (seq, seq));
+            }
+        }
+        self.pending.push_back(Pending {
+            event: IoEvent::new(
+                Timestamp::from_nanos(record.time_ns),
+                record.pid,
+                record.op,
+                extent,
+                self.default_latency,
+            ),
+            key,
+            next: seq,
+            resolved: false,
+        });
+        Ok(())
+    }
+
+    /// Resolves the oldest unresolved issue of the record's key.
+    /// Orphan completions are dropped, as blkparse does.
+    fn complete(&mut self, record: &BlktraceRecord) {
+        let key = (record.sector, record.blocks, record.pid);
+        let Some(&(oldest, _)) = self.inflight.get(&key) else {
+            return;
+        };
+        let pending = &mut self.pending[(oldest - self.front_seq) as usize];
+        let issued = pending.event.timestamp.as_nanos();
+        pending.event.latency = Duration::from_nanos(record.time_ns.saturating_sub(issued));
+        pending.resolved = true;
+        unlink_oldest(&mut self.inflight, key, pending.next);
+    }
+}
+
+/// Drops the oldest issue from `key`'s chain, whose successor is
+/// `next`, and drops the key once its chain is empty.
+fn unlink_oldest(inflight: &mut FxHashMap<PairKey, (u64, u64)>, key: PairKey, next: u64) {
+    let chain = inflight.get_mut(&key).expect("unresolved issue is indexed");
+    if chain.0 == chain.1 {
+        inflight.remove(&key);
+    } else {
+        chain.0 = next;
     }
 }
 
@@ -220,50 +307,11 @@ impl<R: Read> EventSource for BlktraceEventSource<R> {
                 return Ok(None);
             }
             match self.records.next_record()? {
-                None => {
-                    self.done = true;
-                }
-                Some(record) => {
-                    let key = (record.sector, record.blocks, record.pid);
-                    match record.action {
-                        Action::Issue => {
-                            let extent =
-                                Extent::new(record.sector, record.blocks.max(1)).map_err(|e| {
-                                    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                                })?;
-                            let seq = self.front_seq + self.pending.len() as u64;
-                            self.pending.push_back(Pending {
-                                event: IoEvent::new(
-                                    Timestamp::from_nanos(record.time_ns),
-                                    record.pid,
-                                    record.op,
-                                    extent,
-                                    self.default_latency,
-                                ),
-                                resolved: false,
-                            });
-                            self.inflight.entry(key).or_default().push_back(seq);
-                        }
-                        Action::Complete => {
-                            if let Some(queue) = self.inflight.get_mut(&key) {
-                                // Skip issues already force-emitted.
-                                while queue.front().is_some_and(|&s| s < self.front_seq) {
-                                    queue.pop_front();
-                                }
-                                if let Some(seq) = queue.pop_front() {
-                                    let idx = (seq - self.front_seq) as usize;
-                                    let pending = self.pending.get_mut(idx).expect("seq in window");
-                                    let issued = pending.event.timestamp.as_nanos();
-                                    pending.event.latency =
-                                        Duration::from_nanos(record.time_ns.saturating_sub(issued));
-                                    pending.resolved = true;
-                                }
-                                // Orphan completions are dropped, as
-                                // blkparse does.
-                            }
-                        }
-                    }
-                }
+                None => self.done = true,
+                Some(record) => match record.action {
+                    Action::Issue => self.issue(&record)?,
+                    Action::Complete => self.complete(&record),
+                },
             }
         }
     }
@@ -464,6 +512,156 @@ mod tests {
         // The last issue is still pending at EOF drain time, and its
         // completion arrived before the stream ended.
         assert_eq!(events[2].latency, Duration::from_micros(8));
+    }
+
+    /// The earlier pairing rule, kept as the model the in-flight index
+    /// must match: a per-key FIFO of every unresolved issue's sequence
+    /// number that is never pruned, with issues force-emitted past the
+    /// window skipped lazily when a completion reaches them.
+    fn model_pairing(
+        records: &[BlktraceRecord],
+        default_latency: Duration,
+        max_inflight: usize,
+    ) -> Vec<IoEvent> {
+        let max_inflight = max_inflight.max(1);
+        let mut out = Vec::new();
+        let mut pending: VecDeque<(IoEvent, bool)> = VecDeque::new();
+        let mut front_seq = 0u64;
+        let mut inflight: std::collections::HashMap<PairKey, VecDeque<u64>> =
+            std::collections::HashMap::new();
+        let mut records = records.iter();
+        let mut done = false;
+        loop {
+            if let Some(&(event, resolved)) = pending.front() {
+                if resolved || pending.len() > max_inflight || done {
+                    out.push(event);
+                    pending.pop_front();
+                    front_seq += 1;
+                    continue;
+                }
+            } else if done {
+                return out;
+            }
+            let Some(record) = records.next() else {
+                done = true;
+                continue;
+            };
+            let key = (record.sector, record.blocks, record.pid);
+            match record.action {
+                Action::Issue => {
+                    let seq = front_seq + pending.len() as u64;
+                    let event = IoEvent::new(
+                        Timestamp::from_nanos(record.time_ns),
+                        record.pid,
+                        record.op,
+                        Extent::new(record.sector, record.blocks.max(1)).unwrap(),
+                        default_latency,
+                    );
+                    pending.push_back((event, false));
+                    inflight.entry(key).or_default().push_back(seq);
+                }
+                Action::Complete => {
+                    if let Some(queue) = inflight.get_mut(&key) {
+                        while queue.front().is_some_and(|&s| s < front_seq) {
+                            queue.pop_front();
+                        }
+                        if let Some(seq) = queue.pop_front() {
+                            let (event, resolved) = &mut pending[(seq - front_seq) as usize];
+                            event.latency =
+                                Duration::from_nanos(record.time_ns - event.timestamp.as_nanos());
+                            *resolved = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A record stream that exercises every pairing case: a key space
+    /// of 36 keys, so one `(sector, blocks, pid)` is often in flight
+    /// several times; completions of a random outstanding issue, so
+    /// they arrive out of order (and, under a small window, after their
+    /// issue was force-emitted); and orphan completions of keys never
+    /// issued.
+    fn random_records(rng: &mut rtdac_workloads::Pcg32, n: usize) -> Vec<BlktraceRecord> {
+        let mut outstanding: Vec<PairKey> = Vec::new();
+        let mut records = Vec::with_capacity(n);
+        let mut time_ns = 0u64;
+        while records.len() < n {
+            time_ns += rng.gen_range(1..2_000u64);
+            let roll = rng.gen_range(0..100u32);
+            let (key, action) = if roll < 50 || outstanding.is_empty() {
+                let key = (
+                    rng.gen_range(0..6u64) * 8,
+                    rng.gen_range(0..3u32),
+                    rng.gen_range(1..3u32),
+                );
+                outstanding.push(key);
+                (key, Action::Issue)
+            } else if roll < 93 {
+                let at = rng.gen_range(0..outstanding.len());
+                (outstanding.swap_remove(at), Action::Complete)
+            } else {
+                ((1 << 40, 8, rng.gen_range(1..3u32)), Action::Complete)
+            };
+            records.push(BlktraceRecord {
+                time_ns,
+                sector: key.0,
+                blocks: key.1,
+                pid: key.2,
+                action,
+                op: if roll.is_multiple_of(2) {
+                    IoOp::Read
+                } else {
+                    IoOp::Write
+                },
+            });
+        }
+        records
+    }
+
+    #[test]
+    fn inflight_index_pairs_exactly_like_the_per_key_fifo_model() {
+        let latency = Duration::from_micros(3);
+        let mut forced = 0usize;
+        for seed in 0..8u64 {
+            let mut rng = rtdac_workloads::Pcg32::seed_from_u64(seed);
+            let records = random_records(&mut rng, 3_000);
+            let mut bytes = Vec::with_capacity(records.len() * RECORD_BYTES);
+            for record in &records {
+                bytes.extend_from_slice(&record.encode());
+            }
+            for max_inflight in [1, 2, 3, 8, 64 * 1024] {
+                let model = model_pairing(&records, latency, max_inflight);
+                if max_inflight == 64 * 1024 {
+                    // Nothing is forced out of a window this wide: the
+                    // model is the materializing oracle.
+                    assert_eq!(model, read_events(bytes.as_slice(), latency).unwrap());
+                }
+                for chunk in [41, 97, 64 * 1024] {
+                    let mut source = BlktraceEventSource::with_limits(
+                        bytes.as_slice(),
+                        latency,
+                        chunk,
+                        max_inflight,
+                    );
+                    let mut streamed = Vec::with_capacity(model.len());
+                    while let Some(event) = source.next_event().unwrap() {
+                        streamed.push(event);
+                        // The index holds unresolved issues only.
+                        assert!(source.inflight.len() <= source.pending.len());
+                        assert!(source.pending.len() <= max_inflight + 1);
+                    }
+                    assert_eq!(
+                        streamed, model,
+                        "seed {seed}, max_inflight {max_inflight}, chunk {chunk}"
+                    );
+                    assert!(source.inflight.is_empty(), "index leaked keys");
+                }
+                forced += model.iter().filter(|e| e.latency == latency).count();
+            }
+        }
+        assert!(forced > 0, "no issue was ever emitted unresolved");
     }
 
     #[test]

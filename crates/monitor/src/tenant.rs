@@ -152,9 +152,15 @@ impl TenantRuntime {
         let analyzer_config = analyzer_config_for(
             config.tenant_budget_bytes,
             config.doorkeeper_bytes,
-            // With publishing enabled the live view mirrors the tables
-            // on the reader side; reserve a matching slice so the
-            // *total* per-tenant footprint stays within budget.
+            // The budget sizes the synopsis: the analyzer's tables and
+            // doorkeeper fill it, less a quarter reserved for the live
+            // view when publishing is on. It does not bound the rest
+            // of a tenant's heap. The live-query machinery (delta
+            // buffers preallocated to the shards' delta bounds, plus
+            // the view's mirrors) outgrows its reserve several times
+            // over, and the pipeline's work lists and each connection's
+            // decoder sit outside the budget entirely; DESIGN.md
+            // breaks the whole footprint down.
             if config.pipeline.publish_interval_batches > 0 {
                 config.tenant_budget_bytes / 4
             } else {

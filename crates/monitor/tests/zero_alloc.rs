@@ -395,7 +395,7 @@ fn fixed_stride_trace(requests: usize) -> Trace {
 
 /// Streams the second half of a decode pass under the allocation
 /// counter: the first half is the warmup (fixed chunk buffers filling,
-/// the D/C pairing map and pending ring plateauing, the line buffer
+/// the D/C pairing index and pending ring plateauing, the line buffer
 /// reaching its high-water mark), the second half must decode without
 /// a single heap allocation.
 fn assert_second_half_allocation_free<T>(
@@ -430,11 +430,26 @@ fn assert_streaming_decoders_allocation_free() {
     let trace = fixed_stride_trace(64 * 200);
 
     // Blktrace binary, with online D/C pairing (the pending window and
-    // pairing map plateau at the 100-deep in-flight cycle).
+    // pairing index plateau at the 100-deep in-flight cycle).
     let mut blk = Vec::new();
     blktrace::write_trace(&trace, &mut blk).expect("in-memory write");
     let mut source = BlktraceEventSource::new(blk.as_slice(), Duration::from_micros(50));
     assert_second_half_allocation_free("blktrace", trace.len(), || {
+        source.next_event().expect("well-formed blktrace")
+    });
+
+    // Blktrace again, but no extent ever repeats: the pairing index
+    // must forget each key once its issue resolves, or it grows (and
+    // allocates) with every request ever seen.
+    let mut fresh = Trace::new("fresh");
+    for (i, request) in trace.iter().enumerate() {
+        let extent = Extent::new(100 + i as u64 * 10, 4).unwrap();
+        fresh.push(IoRequest { extent, ..*request });
+    }
+    let mut blk = Vec::new();
+    blktrace::write_trace(&fresh, &mut blk).expect("in-memory write");
+    let mut source = BlktraceEventSource::new(blk.as_slice(), Duration::from_micros(50));
+    assert_second_half_allocation_free("blktrace (fresh extents)", fresh.len(), || {
         source.next_event().expect("well-formed blktrace")
     });
 

@@ -178,6 +178,16 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
 /// the payload is buffered. Errors other than command-level `Remote`
 /// leave the stream position undefined — drop the connection.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
+    let mut payload = Vec::new();
+    let kind = read_frame_into(r, &mut payload)?;
+    Ok(Frame { kind, payload })
+}
+
+/// [`read_frame`] into a caller-owned buffer: `payload` is overwritten
+/// with the frame's payload, so a reader that reuses one buffer
+/// allocates only when a frame outgrows every earlier one. An oversized
+/// length is rejected before `payload` is touched.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<FrameKind, WireError> {
     let mut header = [0u8; HEADER_BYTES];
     r.read_exact(&mut header)?;
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
@@ -189,9 +199,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(len));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Frame { kind, payload })
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(kind)
 }
 
 // ---------------------------------------------------------------------
@@ -556,6 +567,46 @@ mod tests {
             read_frame(&mut io::Cursor::new(buf)),
             Err(WireError::Oversized(_))
         ));
+    }
+
+    #[test]
+    fn frames_read_into_one_reused_buffer() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameKind::Ingest, &[7; 300]).unwrap();
+        write_frame(&mut wire, FrameKind::Open, b"tenant").unwrap();
+        write_frame(&mut wire, FrameKind::Ingest, &[]).unwrap();
+        let mut r = io::Cursor::new(wire);
+        let mut payload = Vec::new();
+        assert_eq!(
+            read_frame_into(&mut r, &mut payload).unwrap(),
+            FrameKind::Ingest
+        );
+        assert_eq!(payload, [7; 300]);
+        let buffer = payload.as_ptr();
+        assert_eq!(
+            read_frame_into(&mut r, &mut payload).unwrap(),
+            FrameKind::Open
+        );
+        assert_eq!(payload, b"tenant");
+        assert_eq!(
+            read_frame_into(&mut r, &mut payload).unwrap(),
+            FrameKind::Ingest
+        );
+        assert!(payload.is_empty());
+        assert_eq!(payload.as_ptr(), buffer, "a smaller frame reallocated");
+    }
+
+    #[test]
+    fn oversized_length_leaves_the_buffer_untouched() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameKind::Ingest, &[]).unwrap();
+        wire[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut payload = b"kept".to_vec();
+        assert!(matches!(
+            read_frame_into(&mut io::Cursor::new(wire), &mut payload),
+            Err(WireError::Oversized(_))
+        ));
+        assert_eq!(payload, b"kept");
     }
 
     #[test]

@@ -117,6 +117,12 @@ STREAM_WDEV=$!
 STREAM_STG=$!
 wait "$STREAM_WDEV"
 wait "$STREAM_STG"
+# The daemon's peak resident set after both streams, printed so a
+# per-tenant footprint regression shows in the CI log (Linux only; the
+# gate itself is crates/monitor/tests/tenant_footprint.rs).
+if [ -r "/proc/$RTDACD_PID/status" ]; then
+    echo "rtdacd after the two-tenant stream: $(grep VmHWM "/proc/$RTDACD_PID/status")"
+fi
 for TENANT in wdev stg; do
     ./target/release/rtdacctl --addr "$ADDR" top "$TENANT" --k 20 > "$SVC_DIR/$TENANT.live"
     ./target/release/rtdacctl oracle "$SVC_DIR/$TENANT.blk" --k 20 > "$SVC_DIR/$TENANT.oracle"
