@@ -10,8 +10,8 @@
 //! seconds. Shared workloads (synthesized trace → replay → monitor →
 //! offline pair counts) are computed once per server through
 //! [`support::ExpContext`]'s cache rather than once per figure.
-//! Criterion benches under `benches/` cover the §IV-C4 overhead
-//! analysis.
+//! The §IV-C4 overhead figures come from the `ablations` (Figs. 12–13)
+//! and `fim_throughput` binaries.
 //!
 //! Scale note: the MSR-like traces are synthesized at a configurable
 //! request count (default 40 000, override with the `RTDAC_REQUESTS`

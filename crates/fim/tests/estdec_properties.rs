@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_fim::{EstDecConfig, EstDecMiner};
 
 fn stream_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_fim::{Apriori, Eclat, FimResult, FpGrowth, TransactionDb};
 
 /// Brute force: enumerate every subset of every transaction and count.

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_metrics::{detection, representability, FrequencyCdf, OptimalCurve};
 use rtdac_types::{Extent, ExtentPair};
 

@@ -9,7 +9,7 @@
 //! with heartbeat batches (which carry no records and cannot change
 //! table state) and its view compared snapshot-for-snapshot.
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_monitor::{IngestPipeline, MonitorConfig, PipelineConfig};
 use rtdac_synopsis::{Admission, AnalyzerConfig, DoorkeeperConfig, SynopsisSnapshot};
 use rtdac_types::{Extent, IoOp, Timestamp, Transaction};

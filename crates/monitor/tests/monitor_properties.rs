@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_monitor::{Monitor, MonitorConfig, WindowPolicy};
 use rtdac_types::{Extent, IoEvent, IoOp, Timestamp};
 

@@ -3,7 +3,7 @@
 //! pipeline's merged frequent-pair view must be identical to a pipeline
 //! that never resized, on both uniform and skewed streams.
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_monitor::{IngestPipeline, MonitorConfig, PipelineConfig, SplitConfig};
 use rtdac_synopsis::AnalyzerConfig;
 use rtdac_types::{Extent, ExtentPair, IoOp, Timestamp, Transaction};

@@ -65,9 +65,7 @@ impl CountMinSketch {
     /// *once* per probe (see [`insert_many`](CountMinSketch::insert_many));
     /// each row remixes that one hash with a row-salted splitmix-style
     /// finalizer, so the rows still behave as independent hash
-    /// functions without re-walking the key per row — the old
-    /// per-row-SipHash version is kept as the `cms_probe` criterion
-    /// delta row in `rtdac-bench`.
+    /// functions without re-walking the key per row.
     #[inline]
     fn row_index(&self, key_hash: u64, row: usize) -> usize {
         let mut x = key_hash.wrapping_add((row as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));

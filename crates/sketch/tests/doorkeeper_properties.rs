@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_sketch::{Doorkeeper, COUNTER_MAX};
 
 /// A watermark far above anything the tests insert, so aging never

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_sketch::{CountMinSketch, SpaceSaving};
 
 proptest! {

@@ -1,7 +1,7 @@
 //! Property tests for the FTL's global invariants under arbitrary
 //! write/trim workloads and stream assignments.
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_ssdsim::{Ftl, FtlConfig};
 
 #[derive(Clone, Debug)]

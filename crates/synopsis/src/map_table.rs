@@ -10,7 +10,7 @@
 //! delta extraction) is the reference semantics both tables must share.
 //!
 //! Every policy-bearing rewrite needs a live oracle, and this is the
-//! one for the table seam. The `table_properties` proptest and the
+//! one for the table seam. The `table_properties` property suite and the
 //! `table` sweep of the `ingest_throughput` harness drive random and
 //! fixed operation streams through both tables and require identical
 //! [`Record`] returns, [`TableStats`], iteration order and delta
@@ -710,7 +710,6 @@ impl<K: Eq + Hash + Clone + fmt::Display, S: BuildHasher + Default> fmt::Display
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::TwoTierTable;
 
     #[test]
     fn basic_policy_matches_reference_semantics() {
@@ -725,117 +724,6 @@ mod tests {
         assert_eq!(t.stats().promotions, 1);
         assert_eq!(t.stats().evictions, 1);
         t.check_invariants();
-    }
-
-    fn entries<K: Eq + Hash + Clone, S: BuildHasher + Default>(
-        t: &MapTable<K, S>,
-    ) -> Vec<(K, u32, Tier)> {
-        t.iter().map(|(k, ta, ti)| (k.clone(), ta, ti)).collect()
-    }
-
-    fn open_entries<K: Eq + Hash + Clone, S: BuildHasher + Default>(
-        t: &TwoTierTable<K, S>,
-    ) -> Vec<(K, u32, Tier)> {
-        t.iter().map(|(k, ta, ti)| (k.clone(), ta, ti)).collect()
-    }
-
-    /// Drives the open-addressing table and this oracle with an
-    /// identical deterministic operation stream — records, filtered
-    /// records, demotes, removes, seeds, clears and delta extractions —
-    /// and requires bit-identical observable behaviour at every step.
-    /// This is the always-on (non-proptest) half of the oracle
-    /// equivalence matrix; `tests/table_properties.rs` drives the same
-    /// comparison under proptest when the `property-tests` feature is
-    /// enabled.
-    fn oracle_equivalence(caps: (usize, usize), threshold: u32, keyspace: u64, steps: u32) {
-        let mut open = TwoTierTable::new(caps.0, caps.1, threshold);
-        let mut map = MapTable::new(caps.0, caps.1, threshold);
-        open.enable_delta_tracking();
-        map.enable_delta_tracking();
-        let mut open_delta = TableDelta::default();
-        let mut map_delta = TableDelta::default();
-        let mut seed = 0x2545f4914f6cdd1du64 ^ u64::from(steps);
-        let mut rand = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed >> 16
-        };
-        for step in 0..steps {
-            let r = rand();
-            let key = r % keyspace;
-            match r % 23 {
-                0..=13 => {
-                    assert_eq!(open.record(key), map.record(key), "record({key})");
-                }
-                14..=16 => {
-                    let admit = r & (1 << 13) != 0;
-                    assert_eq!(
-                        open.record_filtered(key, || admit),
-                        map.record_filtered(key, || admit),
-                        "record_filtered({key}, {admit})"
-                    );
-                }
-                17..=18 => {
-                    assert_eq!(open.demote(&key), map.demote(&key), "demote({key})");
-                }
-                19 => {
-                    assert_eq!(open.remove(&key), map.remove(&key), "remove({key})");
-                }
-                20 => {
-                    let tier = if r & (1 << 14) != 0 {
-                        Tier::T2
-                    } else {
-                        Tier::T1
-                    };
-                    let tally = (r % 9) as u32;
-                    assert_eq!(
-                        open.seed(key, tally, tier),
-                        map.seed(key, tally, tier),
-                        "seed({key})"
-                    );
-                }
-                21 => {
-                    open.extract_delta(&mut open_delta);
-                    map.extract_delta(&mut map_delta);
-                    assert_eq!(open_delta, map_delta, "delta at step {step}");
-                }
-                _ => {
-                    if r & (1 << 15) != 0 {
-                        open.clear();
-                        map.clear();
-                    }
-                }
-            }
-            assert_eq!(open.len(), map.len());
-            assert_eq!(entries(&map), open_entries(&open), "order at step {step}");
-            assert_eq!(open.stats(), map.stats(), "stats at step {step}");
-            if step % 64 == 0 {
-                assert_eq!(
-                    open.entries_with_min_tally(2),
-                    map.entries_with_min_tally(2)
-                );
-                open.check_invariants();
-                map.check_invariants();
-            }
-        }
-        // One final extraction so op logs from the tail are compared too.
-        open.extract_delta(&mut open_delta);
-        map.extract_delta(&mut map_delta);
-        assert_eq!(open_delta, map_delta);
-    }
-
-    #[test]
-    fn open_table_is_bit_exact_to_map_oracle() {
-        // Churn-heavy: tiny tiers, busy keyspace — constant eviction,
-        // tombstone build-up and in-place rehashes on the open side.
-        oracle_equivalence((3, 2), 2, 16, 6_000);
-        // Promotion-heavy: small keyspace, most records are hits.
-        oracle_equivalence((4, 4), 2, 6, 6_000);
-        // Higher threshold and a larger table.
-        oracle_equivalence((32, 32), 3, 120, 8_000);
-        // Single-slot tiers: the degenerate corner.
-        oracle_equivalence((1, 1), 2, 9, 3_000);
     }
 
     #[test]

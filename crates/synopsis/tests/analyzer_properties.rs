@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_synopsis::{AnalyzerConfig, OnlineAnalyzer};
 use rtdac_types::{Extent, ExtentPair, Timestamp, Transaction};
 

@@ -2,7 +2,7 @@
 //! behave identically to a naive, obviously-correct reference
 //! implementation under arbitrary operation sequences.
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_synopsis::{MapTable, TableDelta, Tier, TwoTierTable};
 
 /// Naive reference: two `Vec`s ordered MRU→LRU, linear scans everywhere.
@@ -245,60 +245,123 @@ proptest! {
         threshold in 2u32..5,
         ops in prop::collection::vec(oracle_op_strategy(24), 0..300),
     ) {
-        let mut open = TwoTierTable::new(t1_cap, t2_cap, threshold);
-        let mut map = MapTable::new(t1_cap, t2_cap, threshold);
-        open.enable_delta_tracking();
-        map.enable_delta_tracking();
-        let mut open_delta = TableDelta::default();
-        let mut map_delta = TableDelta::default();
-        for op in ops {
-            match op {
-                OracleOp::Record(k) => {
-                    prop_assert_eq!(open.record(k), map.record(k));
-                }
-                OracleOp::RecordFiltered(k, admit) => {
-                    prop_assert_eq!(
-                        open.record_filtered(k, || admit),
-                        map.record_filtered(k, || admit)
-                    );
-                }
-                OracleOp::Seed(k, tally, t2) => {
-                    let tier = if t2 { Tier::T2 } else { Tier::T1 };
-                    prop_assert_eq!(open.seed(k, tally, tier), map.seed(k, tally, tier));
-                }
-                OracleOp::Demote(k) => {
-                    prop_assert_eq!(open.demote(&k), map.demote(&k));
-                }
-                OracleOp::Remove(k) => {
-                    prop_assert_eq!(open.remove(&k), map.remove(&k));
-                }
-                OracleOp::Clear => {
-                    open.clear();
-                    map.clear();
-                }
-                OracleOp::ExtractDelta => {
-                    open.extract_delta(&mut open_delta);
-                    map.extract_delta(&mut map_delta);
-                    prop_assert_eq!(&open_delta, &map_delta);
-                }
+        open_matches_map((t1_cap, t2_cap), threshold, ops)?;
+    }
+}
+
+/// Drives the open-addressing `TwoTierTable` and `MapTable` with one
+/// operation stream and requires bit-identical observable behaviour
+/// after every operation.
+fn open_matches_map(
+    (t1_cap, t2_cap): (usize, usize),
+    threshold: u32,
+    ops: Vec<OracleOp>,
+) -> Result<(), TestCaseError> {
+    let mut open = TwoTierTable::new(t1_cap, t2_cap, threshold);
+    let mut map = MapTable::new(t1_cap, t2_cap, threshold);
+    open.enable_delta_tracking();
+    map.enable_delta_tracking();
+    let mut open_delta = TableDelta::default();
+    let mut map_delta = TableDelta::default();
+    for (step, op) in ops.into_iter().enumerate() {
+        match op {
+            OracleOp::Record(k) => {
+                prop_assert_eq!(open.record(k), map.record(k));
             }
-            open.check_invariants();
-            prop_assert_eq!(open.len(), map.len());
-            prop_assert_eq!(open.stats(), map.stats());
-            let open_entries: Vec<(u16, u32, Tier)> =
-                open.iter().map(|(k, t, ti)| (*k, t, ti)).collect();
-            let map_entries: Vec<(u16, u32, Tier)> =
-                map.iter().map(|(k, t, ti)| (*k, t, ti)).collect();
-            prop_assert_eq!(open_entries, map_entries);
+            OracleOp::RecordFiltered(k, admit) => {
+                prop_assert_eq!(
+                    open.record_filtered(k, || admit),
+                    map.record_filtered(k, || admit)
+                );
+            }
+            OracleOp::Seed(k, tally, t2) => {
+                let tier = if t2 { Tier::T2 } else { Tier::T1 };
+                prop_assert_eq!(open.seed(k, tally, tier), map.seed(k, tally, tier));
+            }
+            OracleOp::Demote(k) => {
+                prop_assert_eq!(open.demote(&k), map.demote(&k));
+            }
+            OracleOp::Remove(k) => {
+                prop_assert_eq!(open.remove(&k), map.remove(&k));
+            }
+            OracleOp::Clear => {
+                open.clear();
+                map.clear();
+            }
+            OracleOp::ExtractDelta => {
+                open.extract_delta(&mut open_delta);
+                map.extract_delta(&mut map_delta);
+                prop_assert_eq!(&open_delta, &map_delta);
+            }
         }
-        // Whatever accumulated past the last extraction must also agree.
-        open.extract_delta(&mut open_delta);
-        map.extract_delta(&mut map_delta);
-        prop_assert_eq!(&open_delta, &map_delta);
-        prop_assert_eq!(
-            open.entries_with_min_tally(2),
-            map.entries_with_min_tally(2)
-        );
+        open.check_invariants();
+        prop_assert_eq!(open.len(), map.len());
+        prop_assert_eq!(open.stats(), map.stats());
+        let open_entries: Vec<(u16, u32, Tier)> =
+            open.iter().map(|(k, t, ti)| (*k, t, ti)).collect();
+        let map_entries: Vec<(u16, u32, Tier)> = map.iter().map(|(k, t, ti)| (*k, t, ti)).collect();
+        prop_assert_eq!(open_entries, map_entries);
+        if step % 64 == 0 {
+            prop_assert_eq!(
+                open.entries_with_min_tally(2),
+                map.entries_with_min_tally(2)
+            );
+            map.check_invariants();
+        }
+    }
+    // Whatever accumulated past the last extraction must also agree.
+    open.extract_delta(&mut open_delta);
+    map.extract_delta(&mut map_delta);
+    prop_assert_eq!(&open_delta, &map_delta);
+    prop_assert_eq!(
+        open.entries_with_min_tally(2),
+        map.entries_with_min_tally(2)
+    );
+    Ok(())
+}
+
+/// A long deterministic operation stream over `keyspace` keys, from an
+/// LCG. Unlike `oracle_op_strategy` it also seeds tally 0.
+fn fixed_ops(keyspace: u64, steps: u32) -> Vec<OracleOp> {
+    let mut seed = 0x2545f4914f6cdd1du64 ^ u64::from(steps);
+    let mut ops = Vec::new();
+    for _ in 0..steps {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = seed >> 16;
+        let key = (r % keyspace) as u16;
+        ops.push(match r % 23 {
+            0..=13 => OracleOp::Record(key),
+            14..=16 => OracleOp::RecordFiltered(key, r & (1 << 13) != 0),
+            17..=18 => OracleOp::Demote(key),
+            19 => OracleOp::Remove(key),
+            20 => OracleOp::Seed(key, (r % 9) as u32, r & (1 << 14) != 0),
+            21 => OracleOp::ExtractDelta,
+            // Half of the remaining draws clear; the rest are no-ops.
+            _ if r & (1 << 15) != 0 => OracleOp::Clear,
+            _ => continue,
+        });
+    }
+    ops
+}
+
+#[test]
+fn open_table_matches_map_oracle_on_long_fixed_streams() {
+    for (caps, threshold, keyspace, steps) in [
+        // Churn-heavy: tiny tiers, busy keyspace — constant eviction,
+        // tombstone build-up and in-place rehashes on the open side.
+        ((3, 2), 2, 16, 6_000),
+        // Promotion-heavy: small keyspace, most records are hits.
+        ((4, 4), 2, 6, 6_000),
+        // Higher threshold and a larger table.
+        ((32, 32), 3, 120, 8_000),
+        // Single-slot tiers: the degenerate corner.
+        ((1, 1), 2, 9, 3_000),
+    ] {
+        if let Err(failure) = open_matches_map(caps, threshold, fixed_ops(keyspace, steps)) {
+            panic!("caps {caps:?}, threshold {threshold}, keyspace {keyspace}: {failure:?}");
+        }
     }
 }
 

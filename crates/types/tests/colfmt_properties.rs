@@ -6,7 +6,7 @@
 use std::io::ErrorKind;
 use std::time::Duration;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_types::{
     read_trace_columnar, ColumnarWriter, Extent, IoOp, IoRequest, RequestSource, Timestamp, Trace,
     COLFMT_HEADER_BYTES,

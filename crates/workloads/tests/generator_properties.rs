@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use rtdac_check::prelude::*;
 use rtdac_workloads::{MsrServer, SyntheticKind, SyntheticSpec};
 
 fn kind_strategy() -> impl Strategy<Value = SyntheticKind> {

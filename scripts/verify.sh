@@ -18,8 +18,10 @@ echo "==> daemonbench tests (the end-to-end benchmark builds against the workspa
 # benchmark-run failure.
 cargo test -q --offline --manifest-path daemonbench/Cargo.toml
 
-echo "==> cargo clippy --offline -- -D warnings"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+echo "==> cargo clippy --all-features --offline -- -D warnings"
+# --all-features turns any future feature-gated target that cannot
+# build offline into a CI failure (the workspace declares no features).
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
