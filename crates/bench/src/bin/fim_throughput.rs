@@ -44,6 +44,7 @@ use std::time::Instant;
 
 use rtdac_bench::pool;
 use rtdac_bench::support::{banner, monitored, ExpConfig, ExpContext};
+use rtdac_bench::sweep::{self, env_or, median, Criterion, Obj};
 use rtdac_fim::{
     count_pairs, count_pairs_generic, Eclat, FimResult, FpGrowth, SlidingPairCounts, TransactionDb,
 };
@@ -65,18 +66,6 @@ const CACHE_CONSUMERS: usize = 4;
 const SKEWED_MIN_SPEEDUP: f64 = 3.0;
 const UNIFORM_MIN_SPEEDUP: f64 = 2.0;
 const CACHE_MIN_SPEEDUP: f64 = 1.5;
-
-fn env_or(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
 
 /// Uniform random transactions: `universe` equally likely extents,
 /// transaction sizes 2..=7 — no skew, so tidlists stay short and the
@@ -172,14 +161,6 @@ struct WorkloadResult {
     pairs_generic_secs: f64,
     pairs_dense_secs: f64,
     equivalent: bool,
-}
-
-struct Criterion {
-    name: String,
-    target: f64,
-    measured: f64,
-    pass: bool,
-    gates: bool,
 }
 
 fn main() {
@@ -278,7 +259,7 @@ fn main() {
             && pool::eclat_parallel(threads, &eclat, db) == reference
             && pool::fp_growth_parallel(threads, &fp, db) == reference
             && count_pairs(&workload.transactions) == count_pairs_generic(&workload.transactions);
-        let m = |c: usize| median(samples[w * N_CFG + c].clone());
+        let m = |c: usize| median(&samples[w * N_CFG + c]);
         let s =
             |num: usize, den: usize| speedup(&samples[w * N_CFG + num], &samples[w * N_CFG + den]);
         results.push(WorkloadResult {
@@ -366,8 +347,8 @@ fn main() {
         incremental_secs.push(start.elapsed().as_secs_f64());
         window_equivalent &= Some(sliding.counts().clone()) == final_scratch;
     }
-    let scratch = median(scratch_secs);
-    let incremental = median(incremental_secs);
+    let scratch = median(&scratch_secs);
+    let incremental = median(&incremental_secs);
     println!(
         "\nsliding window ({WINDOW}-txn window, {steps} steps): scratch {:.1} ms, \
          incremental {:.1} ms ({:.1}x), equivalent: {window_equivalent}",
@@ -400,8 +381,8 @@ fn main() {
         }
         cached_secs.push(start.elapsed().as_secs_f64());
     }
-    let uncached = median(uncached_secs);
-    let cached = median(cached_secs);
+    let uncached = median(&uncached_secs);
+    let cached = median(&cached_secs);
     println!(
         "ground-truth cache ({CACHE_CONSUMERS} consumers): uncached {:.1} ms, cached {:.1} ms \
          ({:.1}x) — why exp_all's figures stopped re-mining",
@@ -415,152 +396,101 @@ fn main() {
     let skewed = by_name("skewed");
     let uniform = by_name("uniform");
     let mut criteria = vec![
-        Criterion {
-            name: "skewed dense eclat speedup".into(),
-            target: SKEWED_MIN_SPEEDUP,
-            measured: skewed.eclat.dense_speedup,
-            pass: skewed.eclat.dense_speedup >= SKEWED_MIN_SPEEDUP,
-            gates: !smoke,
-        },
-        Criterion {
-            name: "skewed dense fp-growth speedup".into(),
-            target: SKEWED_MIN_SPEEDUP,
-            measured: skewed.fp_growth.dense_speedup,
-            pass: skewed.fp_growth.dense_speedup >= SKEWED_MIN_SPEEDUP,
-            gates: !smoke,
-        },
-        Criterion {
-            name: "uniform dense eclat speedup".into(),
-            target: UNIFORM_MIN_SPEEDUP,
-            measured: uniform.eclat.dense_speedup,
-            pass: uniform.eclat.dense_speedup >= UNIFORM_MIN_SPEEDUP,
-            gates: !smoke,
-        },
-        Criterion {
-            name: "uniform dense fp-growth speedup".into(),
-            target: UNIFORM_MIN_SPEEDUP,
-            measured: uniform.fp_growth.dense_speedup,
-            pass: uniform.fp_growth.dense_speedup >= UNIFORM_MIN_SPEEDUP,
-            gates: !smoke,
-        },
-        Criterion {
-            name: "ground-truth cache speedup".into(),
-            target: CACHE_MIN_SPEEDUP,
-            measured: uncached / cached,
-            pass: uncached / cached >= CACHE_MIN_SPEEDUP,
-            gates: !smoke,
-        },
-        Criterion {
-            name: "sliding window equivalence".into(),
-            target: 1.0,
-            measured: f64::from(u8::from(window_equivalent)),
-            pass: window_equivalent,
-            gates: true,
-        },
+        Criterion::at_least(
+            "skewed dense eclat speedup",
+            skewed.eclat.dense_speedup,
+            SKEWED_MIN_SPEEDUP,
+        )
+        .full_only(smoke),
+        Criterion::at_least(
+            "skewed dense fp-growth speedup",
+            skewed.fp_growth.dense_speedup,
+            SKEWED_MIN_SPEEDUP,
+        )
+        .full_only(smoke),
+        Criterion::at_least(
+            "uniform dense eclat speedup",
+            uniform.eclat.dense_speedup,
+            UNIFORM_MIN_SPEEDUP,
+        )
+        .full_only(smoke),
+        Criterion::at_least(
+            "uniform dense fp-growth speedup",
+            uniform.fp_growth.dense_speedup,
+            UNIFORM_MIN_SPEEDUP,
+        )
+        .full_only(smoke),
+        Criterion::at_least(
+            "ground-truth cache speedup",
+            uncached / cached,
+            CACHE_MIN_SPEEDUP,
+        )
+        .full_only(smoke),
+        Criterion::holds("sliding window equivalence", window_equivalent),
     ];
     for r in &results {
-        criteria.push(Criterion {
-            name: format!("{} engine equivalence", r.name),
-            target: 1.0,
-            measured: f64::from(u8::from(r.equivalent)),
-            pass: r.equivalent,
-            gates: true,
-        });
+        criteria.push(Criterion::holds(
+            format!("{} engine equivalence", r.name),
+            r.equivalent,
+        ));
     }
-    let met = criteria.iter().all(|c| c.pass || !c.gates);
 
-    println!(
-        "\nacceptance (timing gates {}):",
-        if smoke { "off — smoke" } else { "on" }
-    );
-    for c in &criteria {
-        println!(
-            "  [{}] {:<34} target {:>6.2}  measured {:>8.2}{}",
-            if c.pass {
-                "pass"
-            } else if c.gates {
-                "FAIL"
-            } else {
-                "skip"
-            },
-            c.name,
-            c.target,
-            c.measured,
-            if c.gates { "" } else { " (not gating)" },
+    let engine = |row: EngineRow| {
+        Obj::new()
+            .num("generic_secs", row.generic_secs, 6)
+            .num("dense_secs", row.dense_secs, 6)
+            .num("parallel_secs", row.parallel_secs, 6)
+            .num("dense_speedup", row.dense_speedup, 3)
+            .num("parallel_speedup", row.parallel_speedup, 3)
+    };
+    let json = Obj::new()
+        .field("bench", "fim_throughput")
+        .field("smoke", smoke)
+        .field("requests", requests)
+        .field("seed", seed)
+        .field("repeat", repeat)
+        .field("threads", threads)
+        .field("min_support", u64::from(MIN_SUPPORT))
+        .field("max_len", MAX_LEN)
+        .field(
+            "workloads",
+            results
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .field("name", r.name)
+                        .field("transactions", r.transactions)
+                        .field("frequent_itemsets", r.frequent_itemsets)
+                        .field("equivalent", r.equivalent)
+                        .field("eclat", engine(r.eclat))
+                        .field("fp_growth", engine(r.fp_growth))
+                        .field(
+                            "count_pairs",
+                            Obj::new()
+                                .num("generic_secs", r.pairs_generic_secs, 6)
+                                .num("dense_secs", r.pairs_dense_secs, 6)
+                                .num("speedup", r.pairs_generic_secs / r.pairs_dense_secs, 3),
+                        )
+                })
+                .collect::<Vec<_>>(),
+        )
+        .field(
+            "sliding_window",
+            Obj::new()
+                .field("window", WINDOW)
+                .field("steps", steps)
+                .num("scratch_secs", scratch, 6)
+                .num("incremental_secs", incremental, 6)
+                .num("speedup", scratch / incremental, 3)
+                .field("equivalent", window_equivalent),
+        )
+        .field(
+            "ground_truth_cache",
+            Obj::new()
+                .field("consumers", CACHE_CONSUMERS)
+                .num("uncached_secs", uncached, 6)
+                .num("cached_secs", cached, 6)
+                .num("speedup", uncached / cached, 3),
         );
-    }
-    println!("  met={met}");
-
-    // JSON report.
-    let mut json = String::from("{\n  \"bench\": \"fim_throughput\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"requests\": {requests},\n  \"seed\": {seed},\n  \"repeat\": {repeat},\n  \
-         \"threads\": {threads},\n  \"min_support\": {MIN_SUPPORT},\n  \"max_len\": {MAX_LEN},\n"
-    ));
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"transactions\": {}, \"frequent_itemsets\": {}, \
-             \"equivalent\": {},\n",
-            r.name, r.transactions, r.frequent_itemsets, r.equivalent
-        ));
-        for (engine, row) in [("eclat", r.eclat), ("fp_growth", r.fp_growth)] {
-            json.push_str(&format!(
-                "     \"{engine}\": {{\"generic_secs\": {:.6}, \"dense_secs\": {:.6}, \
-                 \"parallel_secs\": {:.6}, \"dense_speedup\": {:.3}, \
-                 \"parallel_speedup\": {:.3}}},\n",
-                row.generic_secs,
-                row.dense_secs,
-                row.parallel_secs,
-                row.dense_speedup,
-                row.parallel_speedup,
-            ));
-        }
-        json.push_str(&format!(
-            "     \"count_pairs\": {{\"generic_secs\": {:.6}, \"dense_secs\": {:.6}, \
-             \"speedup\": {:.3}}}}}{}\n",
-            r.pairs_generic_secs,
-            r.pairs_dense_secs,
-            r.pairs_generic_secs / r.pairs_dense_secs,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"sliding_window\": {{\"window\": {WINDOW}, \"steps\": {steps}, \
-         \"scratch_secs\": {scratch:.6}, \"incremental_secs\": {incremental:.6}, \
-         \"speedup\": {:.3}, \"equivalent\": {window_equivalent}}},\n",
-        scratch / incremental
-    ));
-    json.push_str(&format!(
-        "  \"ground_truth_cache\": {{\"consumers\": {CACHE_CONSUMERS}, \
-         \"uncached_secs\": {uncached:.6}, \"cached_secs\": {cached:.6}, \
-         \"speedup\": {:.3}}},\n",
-        uncached / cached
-    ));
-    json.push_str("  \"acceptance\": {\n    \"criteria\": [\n");
-    for (i, c) in criteria.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"name\": \"{}\", \"target\": {:.2}, \"measured\": {:.3}, \
-             \"pass\": {}, \"gates\": {}}}{}\n",
-            c.name,
-            c.target,
-            c.measured,
-            c.pass,
-            c.gates,
-            if i + 1 < criteria.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!("    ],\n    \"met\": {met}\n  }}\n}}\n"));
-
-    let out = std::env::var("RTDAC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fim.json").to_string()
-    });
-    std::fs::write(&out, json).expect("writing BENCH_fim.json");
-    println!("\nwrote {out}");
-
-    if !met {
-        std::process::exit(1);
-    }
+    sweep::finish(json, &criteria, smoke, "BENCH_fim.json");
 }

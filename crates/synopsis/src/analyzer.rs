@@ -236,6 +236,26 @@ pub struct AnalyzerStats {
     pub correlated_demotions: u64,
 }
 
+impl AnalyzerStats {
+    /// Merges per-shard counters: the record counters sum, and the
+    /// transaction count is the first shard's. Sequentially fed shards
+    /// each observe every transaction, so one shard's count is the
+    /// stream total; routed shards count none, and their front-end's
+    /// figure is authoritative (see
+    /// [`ShardedAnalyzer::stats`](crate::ShardedAnalyzer::stats)).
+    pub(crate) fn merge_shards(shards: impl IntoIterator<Item = AnalyzerStats>) -> AnalyzerStats {
+        let mut shards = shards.into_iter();
+        let mut merged = shards.next().unwrap_or_default();
+        for s in shards {
+            merged.extents += s.extents;
+            merged.pairs += s.pairs;
+            merged.pair_rejections += s.pair_rejections;
+            merged.correlated_demotions += s.correlated_demotions;
+        }
+        merged
+    }
+}
+
 /// A point-in-time copy of the correlation table's contents, used by the
 /// concept-drift experiment (Fig. 10) and by offline comparison.
 #[derive(Clone, Debug, Default, PartialEq)]

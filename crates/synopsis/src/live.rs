@@ -267,15 +267,7 @@ impl LiveView {
     /// count is taken from mirror 0 (authoritative for sequentially fed
     /// shards, zero for routed shards, whose front-end counts).
     pub fn stats(&self) -> AnalyzerStats {
-        let mut merged = AnalyzerStats::default();
-        for mirror in &self.mirrors {
-            merged.extents += mirror.stats.extents;
-            merged.pairs += mirror.stats.pairs;
-            merged.pair_rejections += mirror.stats.pair_rejections;
-            merged.correlated_demotions += mirror.stats.correlated_demotions;
-        }
-        merged.transactions = self.mirrors[0].stats.transactions;
-        merged
+        AnalyzerStats::merge_shards(self.mirrors.iter().map(|m| m.stats))
     }
 
     /// A quiesced-equivalent snapshot of the mirrored state: runs the
@@ -284,15 +276,10 @@ impl LiveView {
     /// real shards at `E`'s batch boundary. Allocates (not a hot-path
     /// query).
     pub fn snapshot(&self) -> SynopsisSnapshot {
-        let mut stats = AnalyzerStats::default();
-        for mirror in &self.mirrors {
-            stats.extents += mirror.stats.extents;
-            stats.pairs += mirror.stats.pairs;
-            stats.pair_rejections += mirror.stats.pair_rejections;
-            stats.correlated_demotions += mirror.stats.correlated_demotions;
-        }
-        stats.transactions = self.mirrors[0].stats.transactions;
-        SynopsisSnapshot::capture_tables(self.mirrors.iter().map(|m| (&m.items, &m.pairs)), stats)
+        SynopsisSnapshot::capture_tables(
+            self.mirrors.iter().map(|m| (&m.items, &m.pairs)),
+            self.stats(),
+        )
     }
 
     /// Capacity-based footprint of the view: every mirror table plus

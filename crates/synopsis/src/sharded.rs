@@ -304,17 +304,10 @@ impl ShardedAnalyzer {
     /// [`from_routed_shards`](ShardedAnalyzer::from_routed_shards)) is
     /// authoritative.
     pub fn stats(&self) -> AnalyzerStats {
-        let mut merged = AnalyzerStats::default();
-        for shard in &self.shards {
-            let s = shard.stats();
-            merged.extents += s.extents;
-            merged.pairs += s.pairs;
-            merged.pair_rejections += s.pair_rejections;
-            merged.correlated_demotions += s.correlated_demotions;
+        let mut merged = AnalyzerStats::merge_shards(self.shards.iter().map(OnlineAnalyzer::stats));
+        if let Some(transactions) = self.routed_transactions {
+            merged.transactions = transactions;
         }
-        merged.transactions = self
-            .routed_transactions
-            .unwrap_or_else(|| self.shards[0].stats().transactions);
         merged
     }
 

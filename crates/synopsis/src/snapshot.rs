@@ -95,38 +95,14 @@ impl SynopsisSnapshot {
     /// Panics if `shards` is empty.
     pub fn capture(shards: &[OnlineAnalyzer]) -> Self {
         assert!(!shards.is_empty(), "need at least one shard to capture");
-        let mut pairs = Merger::default();
-        let mut items = Merger::default();
-        let mut stats = AnalyzerStats::default();
-        for shard in shards {
-            pairs.absorb(
-                shard
-                    .correlation_table()
-                    .iter()
-                    .map(|(k, tally, tier)| (*k, tally, tier)),
-            );
-            items.absorb(
-                shard
-                    .item_table()
-                    .iter()
-                    .map(|(k, tally, tier)| (*k, tally, tier)),
-            );
-            let s = shard.stats();
-            stats.extents += s.extents;
-            stats.pairs += s.pairs;
-            stats.pair_rejections += s.pair_rejections;
-            stats.correlated_demotions += s.correlated_demotions;
-        }
-        // Sequentially fed shards each count every transaction, so one
-        // shard's counter is the stream total; routed shards count none
-        // and the front-end's figure is carried outside the analyzers
-        // (`PipelineStats.transactions`).
-        stats.transactions = shards[0].stats().transactions;
-        SynopsisSnapshot {
-            pairs: pairs.into_ordered(),
-            items: items.into_ordered(),
-            stats,
-        }
+        // Routed shards count no transactions; their front-end's figure
+        // is carried outside the analyzers (`PipelineStats.transactions`).
+        Self::capture_tables(
+            shards
+                .iter()
+                .map(|s| (s.item_table(), s.correlation_table())),
+            AnalyzerStats::merge_shards(shards.iter().map(OnlineAnalyzer::stats)),
+        )
     }
 
     /// Captures and consumes `shards` — the quiesce path: the old
@@ -135,11 +111,11 @@ impl SynopsisSnapshot {
         Self::capture(&shards)
     }
 
-    /// Captures merged state from bare table references — the
+    /// Captures merged state from bare table references — the one merge
+    /// behind [`capture`](Self::capture) and the
     /// [`LiveView`](crate::LiveView) snapshot path, which holds mirror
-    /// tables rather than full analyzers. Runs the identical merge as
-    /// [`capture`](Self::capture), so a mirror set that tracks its
-    /// shards bit-exactly yields an identical snapshot.
+    /// tables rather than full analyzers, so a mirror set that tracks
+    /// its shards bit-exactly yields an identical snapshot.
     pub(crate) fn capture_tables<'a, I>(parts: I, stats: AnalyzerStats) -> Self
     where
         I: Iterator<
