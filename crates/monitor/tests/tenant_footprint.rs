@@ -71,7 +71,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 /// Peak live heap one default tenant may reach on the stream below.
-const PEAK_BOUND_BYTES: usize = 6 * 1024 * 1024;
+const PEAK_BOUND_BYTES: usize = 4 * 1024 * 1024;
 
 /// Requests in the stream, as many as one tenant of the end-to-end
 /// benchmark's `stg-replay-2t` workload replays per round.

@@ -4,21 +4,18 @@
 use std::collections::HashSet;
 
 use rtdac_sketch::Doorkeeper;
-use rtdac_types::{Extent, ExtentPair, FxHashMap, InlineVec, IoOp, Transaction};
+use rtdac_types::{Extent, ExtentPair, InlineVec, IoOp, Transaction};
 
 use crate::delta::ShardDelta;
+use crate::partners::{PartnerChains, NONE};
 use crate::sharded::{shard_of_extent, shard_of_pair};
-use crate::table::{Tier, TwoTierTable};
+use crate::table::{Demotion, Tier, TwoTierTable};
 
 /// Transactions are capped at 8 requests by the monitor
 /// (`MonitorConfig::transaction_limit`), so fixed scratch arrays of this
 /// size make `process` allocation-free on every monitored transaction.
 /// Hand-built transactions beyond the cap spill to the heap transparently.
 const TXN_SCRATCH: usize = 8;
-
-/// Inline partner capacity of the pair index: a stored extent typically
-/// participates in a handful of stored pairs.
-const PAIR_INDEX_INLINE: usize = 4;
 
 /// Paper's memory model: an item-table entry is a 64-bit block ID, a
 /// 32-bit length and a 32-bit tally — 16 bytes (§IV-C1).
@@ -294,6 +291,8 @@ impl Snapshot {
 /// recorded in the *correlation table*. When an extent is evicted from
 /// the item table, every pair containing it is demoted in the correlation
 /// table, since "frequent correlations must involve frequent extents".
+/// The pairs of one evicted extent are demoted in ascending
+/// [`ExtentPair`] order; the order is observable through T1's LRU end.
 ///
 /// # Examples
 ///
@@ -318,9 +317,15 @@ pub struct OnlineAnalyzer {
     items: TwoTierTable<Extent>,
     pairs: TwoTierTable<ExtentPair>,
     /// extent → pairs currently stored that contain it, for the
-    /// item-eviction demotion hook. Inline small-vec values keep hot-path
-    /// index maintenance allocation-free.
-    pair_index: FxHashMap<Extent, InlineVec<ExtentPair, PAIR_INDEX_INLINE>>,
+    /// item-eviction demotion hook and [`correlated_with`]: chains
+    /// rooted in the tables' slot payloads (see `partners.rs`).
+    ///
+    /// [`correlated_with`]: OnlineAnalyzer::correlated_with
+    partners: PartnerChains,
+    /// Nodes of one evicted extent's chain, sorted for demotion;
+    /// reserved to the correlation table's capacity (a chain never
+    /// holds more), so demotion never allocates.
+    demote_scratch: Vec<u32>,
     /// Admission filter in front of `pairs`, when configured.
     doorkeeper: Option<AdmissionFilter>,
     stats: AnalyzerStats,
@@ -355,10 +360,11 @@ impl OnlineAnalyzer {
             }),
         };
         OnlineAnalyzer {
+            partners: PartnerChains::new(items.capacity(), pairs.capacity()),
+            demote_scratch: Vec::with_capacity(pairs.capacity()),
             config,
             items,
             pairs,
-            pair_index: FxHashMap::default(),
             doorkeeper,
             stats: AnalyzerStats::default(),
         }
@@ -372,8 +378,8 @@ impl OnlineAnalyzer {
     /// Processes one transaction through both synopsis tables.
     ///
     /// Allocation-free for monitored transactions: the dedup scratch is a
-    /// fixed 8-slot array (the monitor's transaction cap) and the pair
-    /// index maintains inline small-vecs.
+    /// fixed 8-slot array (the monitor's transaction cap) and the
+    /// partner chains live in preallocated nodes.
     pub fn process(&mut self, transaction: &Transaction) {
         self.process_partition(transaction, 0, 1);
     }
@@ -448,28 +454,33 @@ impl OnlineAnalyzer {
         }
 
         // Record every owned extent in the item table; an eviction demotes
-        // all stored pairs containing the evicted extent.
+        // all stored pairs containing the evicted extent. The slots the
+        // records land in are the pair records' root hints.
+        let mut slots: InlineVec<u32, TXN_SCRATCH> = InlineVec::new();
         for i in 0..n {
-            if !owned.as_slice()[i] {
-                continue;
-            }
-            let extent = scratch.as_slice()[i];
-            self.stats.extents += 1;
-            let record = self.items.record(extent);
-            if let Some((evicted, _)) = record.evicted {
-                self.demote_pairs_of(&evicted);
-            }
+            slots.push(if owned.as_slice()[i] {
+                self.record_item(scratch.as_slice()[i])
+            } else {
+                NONE
+            });
         }
 
         // Record every owned pair in the correlation table.
         for i in 0..n {
             for j in (i + 1)..n {
-                let pair = ExtentPair::new(scratch.as_slice()[i], scratch.as_slice()[j])
-                    .expect("deduplicated extents are distinct");
+                let (a, b) = (scratch.as_slice()[i], scratch.as_slice()[j]);
+                let pair = ExtentPair::new(a, b).expect("deduplicated extents are distinct");
                 if shard_count > 1 && shard_of_pair(&pair, shard_count) != shard {
                     continue;
                 }
-                self.record_pair(pair);
+                let (hi, hj) = (slots.as_slice()[i], slots.as_slice()[j]);
+                self.record_pair(pair, || {
+                    if pair.first() == a {
+                        [hi, hj]
+                    } else {
+                        [hj, hi]
+                    }
+                });
             }
         }
     }
@@ -496,87 +507,101 @@ impl OnlineAnalyzer {
     /// [`process_partition`]: OnlineAnalyzer::process_partition
     /// [`ShardedAnalyzer::from_routed_shards`]: crate::ShardedAnalyzer::from_routed_shards
     pub fn process_routed(&mut self, extents: &[Extent], pairs: &[ExtentPair]) {
+        let mut slots: InlineVec<u32, TXN_SCRATCH> = InlineVec::new();
         for &extent in extents {
-            self.stats.extents += 1;
-            let record = self.items.record(extent);
-            if let Some((evicted, _)) = record.evicted {
-                self.demote_pairs_of(&evicted);
-            }
+            slots.push(self.record_item(extent));
         }
+        let hint = |extent: Extent| {
+            extents
+                .iter()
+                .position(|&e| e == extent)
+                .map_or(NONE, |i| slots.as_slice()[i])
+        };
         for &pair in pairs {
-            self.record_pair(pair);
+            self.record_pair(pair, || [hint(pair.first()), hint(pair.second())]);
         }
+    }
+
+    /// Applies one item-table record and keeps the partner chains
+    /// rooted in the item table consistent with it: an insert adopts
+    /// the extent's orphaned chain, and an eviction demotes the evicted
+    /// extent's stored pairs. Returns the slot the extent now occupies.
+    #[inline]
+    fn record_item(&mut self, extent: Extent) -> u32 {
+        self.stats.extents += 1;
+        let applied = self
+            .items
+            .apply(extent, || true)
+            .expect("unconditional admission cannot reject");
+        if !applied.hit {
+            self.partners.adopt(&mut self.items, &extent, applied.slot);
+        }
+        if let Some(evicted) = applied.evicted {
+            self.demote_pairs_of(evicted.key, evicted.payload);
+        }
+        applied.slot
     }
 
     /// Applies one correlation-table record, routing it through the
-    /// admission doorkeeper when one is configured, and maintains the
-    /// pair index across admitted inserts and evictions.
+    /// admission doorkeeper when one is configured, and keeps the
+    /// partner chains across admitted inserts and evictions. `hints`
+    /// names the item slots the pair's first and second extent were
+    /// just recorded in; it runs only when the pair is inserted, since
+    /// most records hit.
     ///
     /// The sketch is consulted (and bumped) *only* when the pair is
-    /// absent from the table — `record_filtered` runs the admission
-    /// closure on the vacant path alone — so with a stored pair the
-    /// record sequence is byte-identical to [`Admission::Off`].
+    /// absent from the table — `apply` runs the admission closure on
+    /// the vacant path alone — so with a stored pair the record
+    /// sequence is byte-identical to [`Admission::Off`].
     #[inline]
-    fn record_pair(&mut self, pair: ExtentPair) {
+    fn record_pair(&mut self, pair: ExtentPair, hints: impl FnOnce() -> [u32; 2]) {
         self.stats.pairs += 1;
-        let record = match &mut self.doorkeeper {
-            None => Some(self.pairs.record(pair)),
+        let applied = match &mut self.doorkeeper {
+            None => self.pairs.apply(pair, || true),
             Some(filter) => {
                 let threshold = filter.threshold;
                 let sketch = &mut filter.sketch;
-                self.pairs
-                    .record_filtered(pair, || sketch.insert(&pair) >= threshold)
+                self.pairs.apply(pair, || sketch.insert(&pair) >= threshold)
             }
         };
-        let Some(record) = record else {
+        let Some(applied) = applied else {
             self.stats.pair_rejections += 1;
             return;
         };
-        if !record.hit {
-            self.index_pair(pair);
+        // Free the evicted pair's node first, so live nodes never
+        // exceed the table's capacity.
+        if let Some(evicted) = applied.evicted {
+            self.partners.unlink(&mut self.items, evicted.payload);
         }
-        if let Some((evicted, _)) = record.evicted {
-            self.unindex_pair(&evicted);
+        if !applied.hit {
+            let node = self.partners.link(&mut self.items, pair, hints());
+            self.pairs.set_payload(applied.slot, node);
         }
     }
 
-    fn demote_pairs_of(&mut self, extent: &Extent) {
-        let Some(pairs) = self.pair_index.get(extent) else {
+    /// Demotes every stored pair containing `extent`, whose item entry
+    /// was just evicted with chain head `head`, in ascending pair
+    /// order. Pairs the demotion trims leave both chains; the rest
+    /// stay on `extent`'s chain, now rooted among the orphans.
+    fn demote_pairs_of(&mut self, extent: Extent, head: u32) {
+        if head == NONE {
             return;
-        };
-        // Demoting may itself evict pairs from the correlation table
-        // (demotion into a full T1 trims), so snapshot the partner list
-        // first — an inline copy, no allocation unless it has spilled.
-        let affected = pairs.clone();
-        for &pair in affected.iter() {
+        }
+        self.partners.orphan(extent, head);
+        let mut affected = std::mem::take(&mut self.demote_scratch);
+        self.partners.sorted_chain(head, &mut affected);
+        for &node in &affected {
             self.stats.correlated_demotions += 1;
-            let was_present = self.pairs.demote(&pair);
-            if was_present && !self.pairs.contains(&pair) {
-                self.unindex_pair(&pair);
-            }
-        }
-    }
-
-    fn index_pair(&mut self, pair: ExtentPair) {
-        for extent in [pair.first(), pair.second()] {
-            let partners = self.pair_index.entry(extent).or_default();
-            debug_assert!(
-                !partners.contains(&pair),
-                "pair indexed twice without eviction"
-            );
-            partners.push(pair);
-        }
-    }
-
-    fn unindex_pair(&mut self, pair: &ExtentPair) {
-        for extent in [pair.first(), pair.second()] {
-            if let Some(partners) = self.pair_index.get_mut(&extent) {
-                partners.remove_value(pair);
-                if partners.is_empty() {
-                    self.pair_index.remove(&extent);
+            match self.pairs.demote_entry(&self.partners.pair(node)) {
+                Demotion::Trimmed(trimmed) => {
+                    debug_assert_eq!(trimmed, node);
+                    self.partners.unlink(&mut self.items, trimmed);
                 }
+                Demotion::Kept => {}
+                Demotion::Absent => unreachable!("a chained pair is stored"),
             }
         }
+        self.demote_scratch = affected;
     }
 
     /// The correlations currently stored with tally at least `min_tally`,
@@ -610,8 +635,9 @@ impl OnlineAnalyzer {
     /// The extents currently known to correlate with `extent` at tally
     /// at least `min_tally`, strongest first — the point query an
     /// optimization module (prefetcher, data placer, GC stream
-    /// assigner) issues on each access. O(partners of `extent`), via
-    /// the same index that powers the eviction hook.
+    /// assigner) issues on each access. One item probe plus
+    /// O(partners of `extent`), via the same chains that power the
+    /// eviction hook.
     ///
     /// ```
     /// use rtdac_synopsis::{AnalyzerConfig, OnlineAnalyzer};
@@ -628,13 +654,13 @@ impl OnlineAnalyzer {
     /// # Ok::<(), rtdac_types::ExtentError>(())
     /// ```
     pub fn correlated_with(&self, extent: &Extent, min_tally: u32) -> Vec<(Extent, u32)> {
-        let Some(pairs) = self.pair_index.get(extent) else {
-            return Vec::new();
-        };
-        let mut partners: Vec<(Extent, u32)> = pairs
-            .iter()
-            .filter_map(|pair| {
-                let tally = self.pairs.tally(pair)?;
+        let head = self.partners.head_of(&self.items, extent);
+        let mut partners: Vec<(Extent, u32)> = self
+            .partners
+            .chain(head)
+            .filter_map(|node| {
+                let pair = self.partners.pair(node);
+                let tally = self.pairs.tally(&pair)?;
                 if tally < min_tally {
                     return None;
                 }
@@ -695,17 +721,43 @@ impl OnlineAnalyzer {
                 .map_or(0, |f| f.sketch.memory_bytes())
     }
 
+    /// Bytes of the partner-chain index (node array and orphan roots)
+    /// plus the demotion scratch. Not part of
+    /// [`table_memory_bytes`](Self::table_memory_bytes), which budget
+    /// sizing ([`analyzer_config_for`](crate::analyzer_config_for))
+    /// divides by: charging the index there would change the
+    /// capacities a budget buys.
+    pub fn index_memory_bytes(&self) -> usize {
+        self.partners.memory_bytes() + self.demote_scratch.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Structural self-check of both tables and the partner chains
+    /// (see `PartnerChains::check`). Debug builds only (the release
+    /// twin is a no-op).
+    #[cfg(debug_assertions)]
+    pub fn check_invariants(&self) {
+        self.items.check_invariants();
+        self.pairs.check_invariants();
+        self.partners.check(&self.items, &self.pairs);
+    }
+
+    /// Structural self-check — compiled to nothing without debug
+    /// assertions.
+    #[cfg(not(debug_assertions))]
+    #[inline]
+    pub fn check_invariants(&self) {}
+
     /// Read access to the admission doorkeeper, if one is configured.
     pub fn doorkeeper(&self) -> Option<&Doorkeeper> {
         self.doorkeeper.as_ref().map(|f| &f.sketch)
     }
 
-    /// Forgets everything — table contents, pair index and doorkeeper
-    /// counters (stats are preserved).
+    /// Forgets everything — table contents, partner chains and
+    /// doorkeeper counters (stats are preserved).
     pub fn clear(&mut self) {
         self.items.clear();
         self.pairs.clear();
-        self.pair_index.clear();
+        self.partners.clear();
         if let Some(filter) = &mut self.doorkeeper {
             filter.sketch.clear();
         }
@@ -748,15 +800,19 @@ impl OnlineAnalyzer {
     /// Entries must be fed MRU-first; capacity overflow follows
     /// [`TwoTierTable::seed`].
     pub(crate) fn seed_item(&mut self, extent: Extent, tally: u32, tier: Tier) {
-        self.items.seed(extent, tally, tier);
+        if let Some(slot) = self.items.seed_slot(extent, tally, tier) {
+            self.partners.adopt(&mut self.items, &extent, slot);
+        }
     }
 
     /// Seeds one correlation-table entry with pre-computed state,
-    /// maintaining the pair index exactly as a live insert would so the
-    /// item-eviction demotion hook keeps working after a re-seed.
+    /// linking it onto its extents' partner chains exactly as a live
+    /// insert would so the item-eviction demotion hook keeps working
+    /// after a re-seed.
     pub(crate) fn seed_pair(&mut self, pair: ExtentPair, tally: u32, tier: Tier) {
-        if self.pairs.seed(pair, tally, tier).is_some() {
-            self.index_pair(pair);
+        if let Some(slot) = self.pairs.seed_slot(pair, tally, tier) {
+            let node = self.partners.link(&mut self.items, pair, [NONE; 2]);
+            self.pairs.set_payload(slot, node);
         }
     }
 
@@ -873,26 +929,91 @@ mod tests {
         assert!(an.stats().correlated_demotions > 0);
     }
 
+    /// Every pair on any extent's partner chain, by walking the chain
+    /// of each extent that appears in `extents`.
+    fn chained_pairs(an: &OnlineAnalyzer, extents: &[Extent]) -> HashSet<ExtentPair> {
+        extents
+            .iter()
+            .flat_map(|x| {
+                let head = an.partners.head_of(&an.items, x);
+                an.partners
+                    .chain(head)
+                    .map(|node| an.partners.pair(node))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     #[test]
-    fn pair_index_is_cleaned_on_pair_eviction() {
+    fn partner_chains_are_cleaned_on_pair_eviction() {
         // Correlation table of 1 entry per tier: every new pair evicts.
         let config = AnalyzerConfig::with_capacity(1).item_capacity(64);
         let mut an = OnlineAnalyzer::new(config);
-        for i in 0..20u64 {
-            an.process(&txn(&[e(i * 2, 1), e(i * 2 + 1, 1)]));
+        let extents: Vec<Extent> = (0..40u64).map(|i| e(i, 1)).collect();
+        for i in 0..20 {
+            an.process(&txn(&extents[i * 2..i * 2 + 2]));
+            an.check_invariants();
         }
-        // At most T1+T2 pairs stored; index should track exactly the
-        // stored pairs' member extents.
+        // At most T1+T2 pairs stored; the chains should hold exactly
+        // the stored pairs.
         let stored: usize = an.correlation_table().len();
         assert!(stored <= 2);
-        let indexed_pairs: HashSet<ExtentPair> = an
-            .pair_index
-            .values()
-            .flat_map(|s| s.iter().copied())
-            .collect();
         let table_pairs: HashSet<ExtentPair> =
             an.correlation_table().iter().map(|(p, _, _)| *p).collect();
-        assert_eq!(indexed_pairs, table_pairs);
+        assert_eq!(chained_pairs(&an, &extents), table_pairs);
+    }
+
+    #[test]
+    fn evicted_items_orphan_their_chains_and_reinserts_adopt_them() {
+        // One item per tier: recording a third extent evicts an item
+        // whose pairs survive in a roomy correlation table.
+        let config = AnalyzerConfig::with_capacity(16).item_capacity(1);
+        let mut an = OnlineAnalyzer::new(config);
+        let (a, b, c) = (e(1, 1), e(2, 1), e(3, 1));
+        an.process(&txn(&[a, b]));
+        an.process(&txn(&[c]));
+        an.check_invariants();
+        assert!(!an.item_table().contains(&a));
+        // The point query still finds the orphaned extent's partner...
+        assert_eq!(an.correlated_with(&a, 1), vec![(b, 1)]);
+        // ...and re-recording the extent adopts its chain back.
+        an.process(&txn(&[a, c]));
+        an.check_invariants();
+        assert_eq!(an.correlated_with(&a, 1), vec![(b, 1), (c, 1)]);
+    }
+
+    #[test]
+    fn item_rehashes_leave_chain_roots_findable() {
+        // Heavy item churn next to a few long-lived pairs: the item
+        // table rehashes in place many times. Each phase's hot extents
+        // arrive in a table full of tombstones, land away from their
+        // home slots and are moved home by the next rehash, and every
+        // unlink after a move must still find its root.
+        let mut an = OnlineAnalyzer::new(AnalyzerConfig::with_capacity(64));
+        let mut moves = 0;
+        let mut last: Vec<Option<u32>> = Vec::new();
+        for i in 0..5_000u64 {
+            let base = i / 500 * 100;
+            let hot = [e(base + i % 5, 1), e(base + 50 + i % 7, 1)];
+            an.process(&txn(&[hot[0], hot[1], e(1_000_000 + i, 1)]));
+            let now: Vec<Option<u32>> = (0..5)
+                .chain(50..57)
+                .map(|s| an.item_table().find(&e(base + s, 1)))
+                .collect();
+            if i % 500 != 0 {
+                moves += last
+                    .iter()
+                    .zip(&now)
+                    .filter(|(a, b)| a.is_some() && b.is_some() && a != b)
+                    .count();
+            }
+            last = now;
+            if i % 100 == 0 {
+                an.check_invariants();
+            }
+        }
+        assert!(moves > 0, "churn never moved a chained extent");
+        an.check_invariants();
     }
 
     #[test]
@@ -1002,6 +1123,18 @@ mod tests {
     }
 
     #[test]
+    fn partner_index_is_reported_beside_the_tables() {
+        // 48 B of node per correlation-table entry (both tiers) plus the
+        // 4 B demotion scratch, none of it charged to the tables.
+        let an = OnlineAnalyzer::new(AnalyzerConfig::with_capacity(16));
+        assert_eq!(an.index_memory_bytes(), 32 * (48 + 4));
+        assert_eq!(
+            an.table_memory_bytes(),
+            an.item_table().memory_bytes() + an.correlation_table().memory_bytes()
+        );
+    }
+
+    #[test]
     fn clear_resets_doorkeeper_counters() {
         let mut an = OnlineAnalyzer::new(doorkeeper_config(2));
         an.process(&txn(&[e(1, 1), e(2, 1)]));
@@ -1029,7 +1162,11 @@ mod tests {
         an.clear();
         assert!(an.item_table().is_empty());
         assert!(an.correlation_table().is_empty());
-        assert!(an.pair_index.is_empty());
+        assert_eq!(an.correlated_with(&e(1, 1), 1), vec![]);
+        an.check_invariants();
+        // The cleared chains restart from a clean free list.
+        an.process(&txn(&[e(1, 1), e(2, 1)]));
+        an.check_invariants();
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! optionally carving out a doorkeeper admission sketch and a
 //! reservation for the reader-side live-query structures.
 
-use crate::analyzer::{Admission, AnalyzerConfig, DoorkeeperConfig, OnlineAnalyzer};
+use rtdac_types::{Extent, ExtentPair};
+
+use crate::analyzer::{Admission, AnalyzerConfig, DoorkeeperConfig};
+use crate::table::TwoTierTable;
 
 /// Per-capacity-unit cost of the analyzer's real structures, measured
 /// on a probe instance. Both tables scale near-linearly in the
@@ -19,13 +22,20 @@ use crate::analyzer::{Admission, AnalyzerConfig, DoorkeeperConfig, OnlineAnalyze
 /// ~1.4× the capacity it used to.
 fn analyzer_unit_bytes() -> usize {
     const PROBE: usize = 64;
-    OnlineAnalyzer::new(AnalyzerConfig::with_capacity(PROBE)).table_memory_bytes() / PROBE
+    tables_bytes(PROBE, PROBE) / PROBE
 }
 
-/// Measured footprint of the tables at candidate per-tier capacities.
+/// Measured footprint of the tables at candidate per-tier capacities:
+/// what [`OnlineAnalyzer::table_memory_bytes`] reports without a
+/// doorkeeper. The search builds the two tables alone, since the rest
+/// of an analyzer (its partner-chain index) is not budgeted and would
+/// only slow every probe down.
+///
+/// [`OnlineAnalyzer::table_memory_bytes`]: crate::OnlineAnalyzer::table_memory_bytes
 fn tables_bytes(item_capacity: usize, pair_capacity: usize) -> usize {
-    let config = AnalyzerConfig::with_capacity(pair_capacity).item_capacity(item_capacity);
-    OnlineAnalyzer::new(config).table_memory_bytes()
+    let threshold = AnalyzerConfig::default().promote_threshold;
+    TwoTierTable::<Extent>::new(item_capacity, item_capacity, threshold).memory_bytes()
+        + TwoTierTable::<ExtentPair>::new(pair_capacity, pair_capacity, threshold).memory_bytes()
 }
 
 /// Largest `f(capacity)` whose measured footprint (monotone in
@@ -112,6 +122,18 @@ pub fn analyzer_config_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OnlineAnalyzer;
+
+    #[test]
+    fn tables_bytes_is_what_the_analyzer_reports() {
+        for (items, pairs) in [(1, 1), (64, 64), (1_667, 1_667), (3_000, 1_200)] {
+            let config = AnalyzerConfig::with_capacity(pairs).item_capacity(items);
+            assert_eq!(
+                tables_bytes(items, pairs),
+                OnlineAnalyzer::new(config).table_memory_bytes()
+            );
+        }
+    }
 
     #[test]
     fn tables_land_near_budget() {

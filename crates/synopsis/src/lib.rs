@@ -45,6 +45,7 @@ mod budget;
 mod delta;
 mod live;
 mod map_table;
+mod partners;
 mod reference;
 mod sharded;
 mod snapshot;

@@ -9,8 +9,13 @@
 //! for two reasons:
 //!
 //! * **equivalence oracle** — the optimized [`OnlineAnalyzer`] must
-//!   produce identical snapshots on any transaction stream (same policy,
-//!   different machinery), which the test suite asserts;
+//!   produce identical snapshots and stats on any transaction stream
+//!   fed through `process` (same policy, different machinery), which
+//!   the test suite asserts at capacities small enough to evict. Both
+//!   analyzers demote one evicted item's stored pairs in ascending
+//!   [`ExtentPair`] order: the order is observable through T1's LRU
+//!   end whenever one eviction demotes two or more stored pairs, so it
+//!   must not depend on hash-set iteration;
 //! * **benchmark baseline** — `BENCH_ingest.json` reports the optimized
 //!   and sharded analyzers' throughput as speedups over this
 //!   implementation, so perf claims survive on machines where thread
@@ -110,7 +115,8 @@ impl ReferenceAnalyzer {
         let Some(pairs) = self.pair_index.get(extent) else {
             return;
         };
-        let affected: Vec<ExtentPair> = pairs.iter().copied().collect();
+        let mut affected: Vec<ExtentPair> = pairs.iter().copied().collect();
+        affected.sort_unstable();
         for pair in affected {
             self.stats.correlated_demotions += 1;
             let was_present = self.pairs.demote(&pair);

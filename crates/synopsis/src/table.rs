@@ -3,8 +3,9 @@
 //! Storage is a cache-conscious open-addressing table (DESIGN.md §17):
 //! SwissTable-style control bytes probed eight at a time with std-only
 //! SWAR on `u64` words, entries stored inline in a single slot array
-//! (key, tally, tier, delta dirty bit and recency links co-located — no
-//! key duplication, no index→slab indirection), and the intrusive
+//! (key, tally, recency links and one packed word of tier, delta dirty
+//! bit and owner payload co-located — no key duplication, no
+//! index→slab indirection), and the intrusive
 //! MRU/LRU lists linked with `u32` indices. The previous
 //! HashMap-index implementation is preserved as
 //! [`MapTable`](crate::MapTable), the bit-exact oracle every policy
@@ -91,20 +92,33 @@ fn match_empty_or_deleted(group: u64) -> u64 {
     group & MSBS
 }
 
-/// One inline table slot: key, tally, tier, delta dirty bit and both
-/// recency links co-located in a single cache-line-friendly record.
-/// `key` is live iff the slot's control byte is FULL.
+/// Bit 31 of [`Slot::meta`]: the entry sits in T2.
+const META_T2: u32 = 1 << 31;
+/// Bit 30 of [`Slot::meta`]: the delta dirty bit.
+const META_DIRTY: u32 = 1 << 30;
+/// Bits 0..30 of [`Slot::meta`]: the owner's payload word.
+const META_PAYLOAD: u32 = META_DIRTY - 1;
+
+/// Payload of an entry its owner has not tagged, and the largest
+/// payload a slot can hold (30 bits).
+pub(crate) const NO_PAYLOAD: u32 = META_PAYLOAD;
+
+/// One inline table slot: key, tally, both recency links and one
+/// packed word of tier, delta dirty bit and owner payload, co-located
+/// in a single cache-line-friendly record. `key` is live iff the
+/// slot's control byte is FULL.
 struct Slot<K> {
     key: MaybeUninit<K>,
     tally: u32,
     prev: u32,
     next: u32,
-    tier: Tier,
-    /// Moved to its tier's MRU end since the last delta extraction
-    /// (extraction clears it). One bit instead of a u64 generation
-    /// stamp keeps the slot at 48 B for pairs / 32 B for items — the
-    /// saved bytes buy probe headroom. See [`DeltaLog`].
-    dirty: bool,
+    /// Tier ([`META_T2`]), dirty bit ([`META_DIRTY`]: moved to its
+    /// tier's MRU end since the last delta extraction, which clears
+    /// it — see [`DeltaLog`]) and a 30-bit payload the table's owner
+    /// attaches to the entry (the analyzer's partner-chain links).
+    /// Packing all three into one word keeps the slot at 48 B for
+    /// pairs / 32 B for items.
+    meta: u32,
 }
 
 impl<K> Slot<K> {
@@ -114,8 +128,38 @@ impl<K> Slot<K> {
             tally: 0,
             prev: NIL,
             next: NIL,
-            tier: Tier::T1,
-            dirty: false,
+            meta: NO_PAYLOAD,
+        }
+    }
+
+    #[inline]
+    fn tier(&self) -> Tier {
+        if self.meta & META_T2 != 0 {
+            Tier::T2
+        } else {
+            Tier::T1
+        }
+    }
+
+    #[inline]
+    fn set_tier(&mut self, tier: Tier) {
+        match tier {
+            Tier::T1 => self.meta &= !META_T2,
+            Tier::T2 => self.meta |= META_T2,
+        }
+    }
+
+    #[inline]
+    fn dirty(&self) -> bool {
+        self.meta & META_DIRTY != 0
+    }
+
+    #[inline]
+    fn set_dirty(&mut self, dirty: bool) {
+        if dirty {
+            self.meta |= META_DIRTY;
+        } else {
+            self.meta &= !META_DIRTY;
         }
     }
 }
@@ -189,6 +233,50 @@ pub struct Record<K> {
     pub tally: u32,
     /// Entry evicted to make room, if any, with its final tally.
     pub evicted: Option<(K, u32)>,
+}
+
+/// An entry the policy removed, with the payload its owner had
+/// attached to it.
+pub(crate) struct Evicted<K> {
+    pub(crate) key: K,
+    pub(crate) tally: u32,
+    pub(crate) payload: u32,
+}
+
+/// What [`TwoTierTable::apply`] did: the public [`Record`] plus the
+/// slot the key now occupies and the evicted entry's payload — what
+/// an owner that attaches payloads needs to keep them consistent.
+pub(crate) struct Applied<K> {
+    pub(crate) hit: bool,
+    pub(crate) tier: Tier,
+    pub(crate) tally: u32,
+    /// Slot of the recorded key, valid until the next insert (which
+    /// may rehash) or removal.
+    pub(crate) slot: u32,
+    pub(crate) evicted: Option<Evicted<K>>,
+}
+
+impl<K> Applied<K> {
+    fn into_record(self) -> Record<K> {
+        Record {
+            hit: self.hit,
+            tier: self.tier,
+            tally: self.tally,
+            evicted: self.evicted.map(|e| (e.key, e.tally)),
+        }
+    }
+}
+
+/// What [`TwoTierTable::demote_entry`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Demotion {
+    /// The key was not stored.
+    Absent,
+    /// The key now sits at T1's LRU end.
+    Kept,
+    /// Demoting overfilled T1, so the entry — now T1's LRU — was
+    /// trimmed; the payload it carried.
+    Trimmed(u32),
 }
 
 /// Result of one control-byte probe walk.
@@ -457,8 +545,9 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         let slot = &mut self.slots[idx];
         slot.key.write(key);
         slot.tally = tally;
-        slot.tier = tier;
-        slot.dirty = dirty;
+        slot.meta = NO_PAYLOAD;
+        slot.set_tier(tier);
+        slot.set_dirty(dirty);
         slot.prev = NIL;
         slot.next = NIL;
         self.set_ctrl(idx, h2(hash));
@@ -491,7 +580,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         let me = idx as u32;
         let (prev, next, tier) = {
             let s = &self.slots[idx];
-            (s.prev, s.next, s.tier)
+            (s.prev, s.next, s.tier())
         };
         if prev == NIL {
             match tier {
@@ -620,6 +709,14 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     /// pay for admission — and both paths still perform a single hash
     /// and probe walk.
     pub fn record_filtered(&mut self, key: K, admit: impl FnOnce() -> bool) -> Option<Record<K>> {
+        self.apply(key, admit).map(Applied::into_record)
+    }
+
+    /// [`record_filtered`](Self::record_filtered) reporting what an
+    /// owner of payloads needs: the recorded key's slot and the
+    /// evicted entry's payload. A fresh entry's payload is
+    /// [`NO_PAYLOAD`]; a hit keeps the entry's payload.
+    pub(crate) fn apply(&mut self, key: K, admit: impl FnOnce() -> bool) -> Option<Applied<K>> {
         let hash = self.hasher.hash_one(&key);
         match self.probe(&key, hash) {
             Probe::Found(found) => {
@@ -627,20 +724,21 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
                 self.stats.hits += 1;
                 let slot = &mut self.slots[found];
                 slot.tally = slot.tally.saturating_add(1);
-                slot.dirty = true;
+                slot.set_dirty(true);
                 let tally = slot.tally;
-                let tier = slot.tier;
+                let tier = slot.tier();
                 if tier == Tier::T1 && tally >= self.promote_threshold {
                     // Promote to T2's MRU end.
                     Self::unlink(&mut self.slots, &mut self.t1, idx);
-                    self.slots[found].tier = Tier::T2;
+                    self.slots[found].set_tier(Tier::T2);
                     Self::push_front(&mut self.slots, &mut self.t2, idx);
                     self.stats.promotions += 1;
                     let evicted = self.rebalance_after_promotion();
-                    Some(Record {
+                    Some(Applied {
                         hit: true,
                         tier: Tier::T2,
                         tally,
+                        slot: idx,
                         evicted,
                     })
                 } else {
@@ -651,10 +749,11 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
                     };
                     Self::unlink(&mut self.slots, list, idx);
                     Self::push_front(&mut self.slots, list, idx);
-                    Some(Record {
+                    Some(Applied {
                         hit: true,
                         tier,
                         tally,
+                        slot: idx,
                         evicted: None,
                     })
                 }
@@ -675,10 +774,11 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
                 } else {
                     None
                 };
-                Some(Record {
+                Some(Applied {
                     hit: false,
                     tier: Tier::T1,
                     tally: 1,
+                    slot: idx,
                     evicted,
                 })
             }
@@ -700,6 +800,12 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     /// was dropped. Seeding never overwrites a live entry: re-seeding
     /// an existing key returns `None` without touching it.
     pub fn seed(&mut self, key: K, tally: u32, tier: Tier) -> Option<Tier> {
+        self.seed_slot(key, tally, tier)
+            .map(|slot| self.slots[slot as usize].tier())
+    }
+
+    /// [`seed`](Self::seed) returning the slot the entry landed in.
+    pub(crate) fn seed_slot(&mut self, key: K, tally: u32, tier: Tier) -> Option<u32> {
         // Seeding rebuilds arbitrary order outside the record policy;
         // the incremental log cannot express it, so the next extracted
         // delta must carry a full dump.
@@ -726,12 +832,12 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
             Tier::T2 => &mut self.t2,
         };
         Self::push_back(&mut self.slots, list, idx);
-        Some(target)
+        Some(idx)
     }
 
     /// After a promotion, T2 may exceed capacity; demote its LRU entry to
     /// T1's LRU end. If T1 is in turn full, evict T1's LRU first.
-    fn rebalance_after_promotion(&mut self) -> Option<(K, u32)> {
+    fn rebalance_after_promotion(&mut self) -> Option<Evicted<K>> {
         if self.t2.len <= self.t2_capacity {
             return None;
         }
@@ -743,7 +849,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
             None
         };
         Self::unlink(&mut self.slots, &mut self.t2, victim);
-        self.slots[victim as usize].tier = Tier::T1;
+        self.slots[victim as usize].set_tier(Tier::T1);
         Self::push_back(&mut self.slots, &mut self.t1, victim);
         self.stats.demotions += 1;
         if self.delta.is_some() {
@@ -757,7 +863,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         evicted
     }
 
-    fn evict_t1_lru(&mut self) -> Option<(K, u32)> {
+    fn evict_t1_lru(&mut self) -> Option<Evicted<K>> {
         let victim = self.t1.tail;
         if victim == NIL {
             return None;
@@ -769,12 +875,17 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         // cloned.
         let key = unsafe { self.slots[idx].key.assume_init_read() };
         let tally = self.slots[idx].tally;
+        let payload = self.slots[idx].meta & META_PAYLOAD;
         self.erase(idx);
         self.stats.evictions += 1;
         if self.delta.is_some() {
             self.log_op(DeltaOp::Evict(key.clone()));
         }
-        Some((key, tally))
+        Some(Evicted {
+            key,
+            tally,
+            payload,
+        })
     }
 
     /// Demotes `key` to the LRU end of T1 — "next in line for eviction" —
@@ -784,17 +895,24 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     /// The online analyzer calls this on every correlation-table pair
     /// containing an extent just evicted from the item table (§III-D2).
     pub fn demote(&mut self, key: &K) -> bool {
+        self.demote_entry(key) != Demotion::Absent
+    }
+
+    /// [`demote`](Self::demote) reporting whether the demotion also
+    /// trimmed the entry, with its payload — one probe, where asking
+    /// [`contains`](Self::contains) afterwards would cost a second.
+    pub(crate) fn demote_entry(&mut self, key: &K) -> Demotion {
         let hash = self.hasher.hash_one(key);
         let Probe::Found(found) = self.probe(key, hash) else {
-            return false;
+            return Demotion::Absent;
         };
         let idx = found as u32;
-        let list = match self.slots[found].tier {
+        let list = match self.slots[found].tier() {
             Tier::T1 => &mut self.t1,
             Tier::T2 => &mut self.t2,
         };
         Self::unlink(&mut self.slots, list, idx);
-        self.slots[found].tier = Tier::T1;
+        self.slots[found].set_tier(Tier::T1);
         Self::push_back(&mut self.slots, &mut self.t1, idx);
         self.stats.demotions += 1;
         if self.delta.is_some() {
@@ -807,9 +925,11 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         // entry least recently used. Since the demoted entry was pushed to
         // the back, trimming evicts it — exactly "next in line".
         if self.t1.len > self.t1_capacity {
-            self.evict_t1_lru();
+            let trimmed = self.evict_t1_lru().expect("T1 over capacity is non-empty");
+            debug_assert!(trimmed.key == *key, "the trim takes the demoted entry");
+            return Demotion::Trimmed(trimmed.payload);
         }
-        true
+        Demotion::Kept
     }
 
     /// Removes `key` from the table, returning its tally.
@@ -818,7 +938,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         let Probe::Found(found) = self.probe(key, hash) else {
             return None;
         };
-        let list = match self.slots[found].tier {
+        let list = match self.slots[found].tier() {
             Tier::T1 => &mut self.t1,
             Tier::T2 => &mut self.t2,
         };
@@ -845,7 +965,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     /// Tier `key` currently resides in, if present.
     pub fn tier(&self, key: &K) -> Option<Tier> {
         match self.probe(key, self.hasher.hash_one(key)) {
-            Probe::Found(idx) => Some(self.slots[idx].tier),
+            Probe::Found(idx) => Some(self.slots[idx].tier()),
             Probe::Vacant(_) => None,
         }
     }
@@ -853,6 +973,68 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     /// Whether `key` is present in either tier.
     pub fn contains(&self, key: &K) -> bool {
         matches!(self.probe(key, self.hasher.hash_one(key)), Probe::Found(_))
+    }
+
+    /// Slot holding `key`, if present.
+    pub(crate) fn find(&self, key: &K) -> Option<u32> {
+        match self.probe(key, self.hasher.hash_one(key)) {
+            Probe::Found(idx) => Some(idx as u32),
+            Probe::Vacant(_) => None,
+        }
+    }
+
+    /// Whether `slot` currently holds `key` — a hint check that costs
+    /// one key comparison instead of a probe walk. Any `u32` is
+    /// accepted; out-of-range slots hold nothing.
+    #[inline]
+    pub(crate) fn slot_holds(&self, slot: u32, key: &K) -> bool {
+        let idx = slot as usize;
+        // SAFETY: `&&` reads the key only after `idx` was checked to be
+        // a slot index whose control byte is FULL, hence initialized.
+        idx < self.buckets
+            && is_full(self.ctrl[idx])
+            && unsafe { self.slots[idx].key.assume_init_ref() } == key
+    }
+
+    /// The payload attached to the entry in `slot` ([`NO_PAYLOAD`]
+    /// until its owner sets one).
+    #[inline]
+    pub(crate) fn payload(&self, slot: u32) -> u32 {
+        debug_assert!(
+            is_full(self.ctrl[slot as usize]),
+            "payload of a vacant slot"
+        );
+        self.slots[slot as usize].meta & META_PAYLOAD
+    }
+
+    /// Attaches `payload` (at most [`NO_PAYLOAD`]) to the entry in
+    /// `slot`. The payload travels with the entry through rehashes and
+    /// is handed back when the policy evicts or trims it.
+    #[inline]
+    pub(crate) fn set_payload(&mut self, slot: u32, payload: u32) {
+        debug_assert!(payload <= NO_PAYLOAD, "payload wider than 30 bits");
+        debug_assert!(
+            is_full(self.ctrl[slot as usize]),
+            "payload of a vacant slot"
+        );
+        let meta = &mut self.slots[slot as usize].meta;
+        *meta = (*meta & !META_PAYLOAD) | payload;
+    }
+
+    /// `(slot, key, payload)` of every entry whose payload is set (for
+    /// structural checks).
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = (u32, &K, u32)> + '_ {
+        (0..self.buckets).filter_map(move |idx| {
+            if !is_full(self.ctrl[idx]) {
+                return None;
+            }
+            let slot = &self.slots[idx];
+            let payload = slot.meta & META_PAYLOAD;
+            // SAFETY: the FULL control byte checked above ⇒ initialized key.
+            (payload != NO_PAYLOAD)
+                .then(|| (idx as u32, unsafe { slot.key.assume_init_ref() }, payload))
+        })
     }
 
     /// Total number of entries across both tiers.
@@ -1059,7 +1241,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
             let mut cursor = self.t2.head;
             while cursor != NIL {
                 let s = &mut self.slots[cursor as usize];
-                s.dirty = false;
+                s.set_dirty(false);
                 // SAFETY: linked entries are FULL.
                 out.touched_t2
                     .push((unsafe { s.key.assume_init_ref() }.clone(), s.tally));
@@ -1068,7 +1250,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
             let mut cursor = self.t1.head;
             while cursor != NIL {
                 let s = &mut self.slots[cursor as usize];
-                s.dirty = false;
+                s.set_dirty(false);
                 // SAFETY: linked entries are FULL.
                 out.touched_t1
                     .push((unsafe { s.key.assume_init_ref() }.clone(), s.tally));
@@ -1080,10 +1262,10 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         let mut cursor = self.t2.head;
         while cursor != NIL {
             let s = &mut self.slots[cursor as usize];
-            if !s.dirty {
+            if !s.dirty() {
                 break;
             }
-            s.dirty = false;
+            s.set_dirty(false);
             // SAFETY: linked entries are FULL.
             out.touched_t2
                 .push((unsafe { s.key.assume_init_ref() }.clone(), s.tally));
@@ -1092,10 +1274,10 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         let mut cursor = self.t1.head;
         while cursor != NIL {
             let s = &mut self.slots[cursor as usize];
-            if !s.dirty {
+            if !s.dirty() {
                 break;
             }
-            s.dirty = false;
+            s.set_dirty(false);
             // SAFETY: linked entries are FULL.
             out.touched_t1
                 .push((unsafe { s.key.assume_init_ref() }.clone(), s.tally));
@@ -1110,7 +1292,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
         let hash = self.hasher.hash_one(key);
         match self.probe(key, hash) {
             Probe::Found(found) => {
-                let list = match self.slots[found].tier {
+                let list = match self.slots[found].tier() {
                     Tier::T1 => &mut self.t1,
                     Tier::T2 => &mut self.t2,
                 };
@@ -1130,7 +1312,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     pub(crate) fn apply_upsert_front(&mut self, key: &K, tally: u32, tier: Tier) {
         let idx = self.apply_detach_or_alloc(key);
         self.slots[idx as usize].tally = tally;
-        self.slots[idx as usize].tier = tier;
+        self.slots[idx as usize].set_tier(tier);
         let list = match tier {
             Tier::T1 => &mut self.t1,
             Tier::T2 => &mut self.t2,
@@ -1143,7 +1325,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     pub(crate) fn apply_upsert_back_t1(&mut self, key: &K, tally: u32) {
         let idx = self.apply_detach_or_alloc(key);
         self.slots[idx as usize].tally = tally;
-        self.slots[idx as usize].tier = Tier::T1;
+        self.slots[idx as usize].set_tier(Tier::T1);
         Self::push_back(&mut self.slots, &mut self.t1, idx);
     }
 
@@ -1153,7 +1335,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
     pub(crate) fn apply_remove(&mut self, key: &K) {
         let hash = self.hasher.hash_one(key);
         if let Probe::Found(found) = self.probe(key, hash) {
-            let list = match self.slots[found].tier {
+            let list = match self.slots[found].tier() {
                 Tier::T1 => &mut self.t1,
                 Tier::T2 => &mut self.t2,
             };
@@ -1269,7 +1451,7 @@ impl<K: Eq + Hash + Clone, S: BuildHasher + Default> TwoTierTable<K, S> {
                 let idx = cursor as usize;
                 assert!(is_full(self.ctrl[idx]), "linked slot is not FULL");
                 let slot = &self.slots[idx];
-                assert_eq!(slot.tier, tier);
+                assert_eq!(slot.tier(), tier);
                 assert_eq!(slot.prev, prev);
                 // SAFETY: just asserted FULL.
                 let key = unsafe { slot.key.assume_init_ref() };
@@ -1324,11 +1506,10 @@ impl<K: Clone, S: Clone> Clone for TwoTierTable<K, S> {
                 } else {
                     MaybeUninit::uninit()
                 },
-                dirty: s.dirty,
                 tally: s.tally,
                 prev: s.prev,
                 next: s.next,
-                tier: s.tier,
+                meta: s.meta,
             })
             .collect();
         TwoTierTable {
@@ -1390,7 +1571,11 @@ impl<'a, K, S> Iterator for Iter<'a, K, S> {
             let slot = &self.table.slots[self.cursor as usize];
             self.cursor = slot.next;
             // SAFETY: linked entries are FULL, hence initialized.
-            return Some((unsafe { slot.key.assume_init_ref() }, slot.tally, slot.tier));
+            return Some((
+                unsafe { slot.key.assume_init_ref() },
+                slot.tally,
+                slot.tier(),
+            ));
         }
     }
 }
@@ -1429,6 +1614,68 @@ mod tests {
             .filter(|(_, _, ti)| *ti == tier)
             .map(|(k, _, _)| *k)
             .collect()
+    }
+
+    #[test]
+    fn slots_stay_32_bytes_for_items_and_48_for_pairs() {
+        use rtdac_types::{Extent, ExtentPair};
+        // The payload word shares its top bits with tier and dirty, so
+        // the analyzer's budget buys the same capacities it did before
+        // slots carried a payload.
+        assert_eq!(std::mem::size_of::<Slot<Extent>>(), 32);
+        assert_eq!(std::mem::size_of::<Slot<ExtentPair>>(), 48);
+    }
+
+    #[test]
+    fn payloads_survive_hits_and_rehashes_and_come_back_on_eviction() {
+        let mut t = TwoTierTable::<u32>::new(64, 64, 2);
+        let tag = |t: &mut TwoTierTable<u32>, k: u32| {
+            let slot = t.find(&k).unwrap();
+            assert_eq!(t.payload(slot), NO_PAYLOAD);
+            t.set_payload(slot, k + 100);
+        };
+        for k in 0..4 {
+            t.record(k);
+            tag(&mut t, k);
+        }
+        // A hit promotes without touching the payload or the tier bits.
+        let applied = t.apply(2, || true).unwrap();
+        assert_eq!(t.payload(applied.slot), 102);
+        assert_eq!(t.tier(&2), Some(Tier::T2));
+        // Churn through enough fresh keys to force in-place rehashes;
+        // every evicted payload is the one its key was tagged with, and
+        // entries a rehash moved keep theirs.
+        let mut slots = std::collections::HashMap::new();
+        let mut moves = 0;
+        let mut x = 7u64;
+        for _ in 0..5_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (x >> 40) as u32 + 1_000;
+            let applied = t.apply(k, || true).unwrap();
+            t.set_payload(applied.slot, k + 100);
+            if let Some(e) = applied.evicted {
+                assert_eq!(e.payload, e.key + 100);
+                slots.remove(&e.key);
+            }
+            for (slot, key, payload) in t.payloads() {
+                assert!(t.slot_holds(slot, key));
+                assert_eq!(payload, key + 100);
+                moves += usize::from(slots.insert(*key, slot).is_some_and(|was| was != slot));
+            }
+        }
+        assert!(moves > 0, "churn never moved an entry");
+        assert!(!t.slot_holds(u32::MAX, &2));
+        // A trimmed demotion hands the payload back.
+        t.record(500);
+        t.record(500); // promoted, leaving a hole in T1...
+        t.record(501); // ...which a fresh key fills
+        let slot = t.find(&500).unwrap();
+        t.set_payload(slot, 7);
+        assert_eq!(t.demote_entry(&500), Demotion::Trimmed(7));
+        assert_eq!(t.demote_entry(&500), Demotion::Absent);
+        t.check_invariants();
     }
 
     #[test]

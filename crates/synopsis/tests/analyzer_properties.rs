@@ -1,10 +1,11 @@
 //! Property tests for the online analyzer's global invariants under
 //! arbitrary transaction streams.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use rtdac_check::prelude::*;
-use rtdac_synopsis::{AnalyzerConfig, OnlineAnalyzer};
+use rtdac_synopsis::{AnalyzerConfig, OnlineAnalyzer, ReferenceAnalyzer, SynopsisSnapshot};
 use rtdac_types::{Extent, ExtentPair, Timestamp, Transaction};
 
 fn txn_strategy() -> impl Strategy<Value = Transaction> {
@@ -135,4 +136,110 @@ proptest! {
 
         prop_assert_eq!(a.snapshot(), b.snapshot());
     }
+}
+
+/// The work share a single-shard router hands `process_routed`: the
+/// transaction's extents deduplicated in arrival order, and every pair
+/// in `(i, j)` enumeration order.
+fn routed_share(txn: &Transaction) -> (Vec<Extent>, Vec<ExtentPair>) {
+    let mut extents: Vec<Extent> = Vec::new();
+    for item in txn.items() {
+        if !extents.contains(&item.extent) {
+            extents.push(item.extent);
+        }
+    }
+    let mut pairs = Vec::new();
+    for i in 0..extents.len() {
+        for j in (i + 1)..extents.len() {
+            pairs.push(ExtentPair::new(extents[i], extents[j]).expect("distinct"));
+        }
+    }
+    (extents, pairs)
+}
+
+/// `correlated_with(extent, 1)` rebuilt from a scan of the correlation
+/// table, in the query's order.
+fn scanned_partners(analyzer: &OnlineAnalyzer, extent: &Extent) -> Vec<(Extent, u32)> {
+    let mut partners: Vec<(Extent, u32)> = analyzer
+        .correlation_table()
+        .iter()
+        .filter_map(|(pair, tally, _)| Some((pair.other(extent)?, tally)))
+        .collect();
+    partners.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    partners
+}
+
+/// Differential check at capacities small enough that item evictions
+/// demote stored pairs constantly: after every transaction, `process`,
+/// `process_routed`, a copy periodically round-tripped through
+/// `SynopsisSnapshot::capture` → `reseed(…, 1)` and the
+/// `ReferenceAnalyzer` oracle must agree order-exactly; the partner
+/// chains must pass their structural check; and `correlated_with` must
+/// match a table scan. The suite must actually exercise correlated
+/// demotion, so their total is asserted positive.
+#[test]
+fn small_tables_match_reference_order_exactly() {
+    let demotions = Cell::new(0u64);
+    let strategy = (
+        1usize..13,
+        1usize..25,
+        2u32..4,
+        prop::collection::vec(txn_strategy(), 0..120),
+    );
+    let result = rtdac_check::check(
+        &ProptestConfig::with_cases(96),
+        &strategy,
+        |(item_capacity, pair_capacity, threshold, txns)| {
+            let config = AnalyzerConfig::with_capacity(pair_capacity)
+                .item_capacity(item_capacity)
+                .promote_threshold(threshold);
+            let mut direct = OnlineAnalyzer::new(config.clone());
+            let mut routed = OnlineAnalyzer::new(config.clone());
+            let mut reseeded = OnlineAnalyzer::new(config.clone());
+            let mut reference = ReferenceAnalyzer::new(config.clone());
+            for (step, txn) in txns.iter().enumerate() {
+                direct.process(txn);
+                reseeded.process(txn);
+                reference.process(txn);
+                let (extents, pairs) = routed_share(txn);
+                routed.process_routed(&extents, &pairs);
+
+                let expected = reference.snapshot();
+                prop_assert_eq!(&direct.snapshot(), &expected, "process, step {}", step);
+                prop_assert_eq!(&routed.snapshot(), &expected, "routed, step {}", step);
+                prop_assert_eq!(&reseeded.snapshot(), &expected, "reseeded, step {}", step);
+                prop_assert_eq!(direct.stats(), reference.stats(), "stats, step {}", step);
+                prop_assert_eq!(
+                    routed.stats().correlated_demotions,
+                    reference.stats().correlated_demotions
+                );
+                direct.check_invariants();
+                routed.check_invariants();
+                reseeded.check_invariants();
+
+                for item in txn.items() {
+                    prop_assert_eq!(
+                        direct.correlated_with(&item.extent, 1),
+                        scanned_partners(&direct, &item.extent)
+                    );
+                }
+
+                if step % 16 == 15 {
+                    let snapshot = SynopsisSnapshot::capture(std::slice::from_ref(&reseeded));
+                    let fresh = snapshot.reseed(&config, 1).pop().expect("one shard");
+                    prop_assert_eq!(fresh.snapshot(), reseeded.snapshot(), "reseed round trip");
+                    prop_assert_eq!(fresh.stats(), reseeded.stats());
+                    fresh.check_invariants();
+                    reseeded = fresh;
+                }
+            }
+            demotions.set(demotions.get() + direct.stats().correlated_demotions);
+            Ok(())
+        },
+    );
+    if let Err(failure) = result {
+        panic!("small_tables_match_reference_order_exactly {failure}");
+    }
+    println!("correlated demotions checked: {}", demotions.get());
+    assert!(demotions.get() > 0, "no case demoted a stored pair");
 }

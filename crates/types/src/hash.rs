@@ -104,8 +104,8 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed by [`FxHasher`] — the default map of every hot path
-/// (synopsis table indexes, the analyzer's pair index, the monitor's PID
-/// filter).
+/// (the decoder's pairing index) and of the analyzer's cold orphan
+/// roots.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` hashed by [`FxHasher`].

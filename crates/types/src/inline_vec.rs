@@ -2,14 +2,12 @@
 //! case, transparent heap spill beyond it.
 //!
 //! The ingestion hot path must not allocate per processed transaction
-//! (see DESIGN.md §7). Two places in the online analyzer used to: the
-//! per-`process()` extent scratch `Vec` and the per-extent
-//! `HashSet<ExtentPair>` values of the pair index. Both hold a handful of
-//! `Copy` elements almost always — transactions are capped at 8 requests
-//! and a stored extent typically participates in few stored pairs — so an
-//! inline fixed array covers them without touching the allocator, while
-//! the heap spill keeps correctness for adversarial shapes (an extent
-//! correlated with hundreds of partners).
+//! (see DESIGN.md §7). The online analyzer's and the router's
+//! per-transaction scratch (deduplicated extents, ownership flags, item
+//! slots) holds at most 8 `Copy` elements on monitored transactions,
+//! which are capped at 8 requests, so an inline fixed array covers it
+//! without touching the allocator, while the heap spill keeps
+//! correctness for hand-built transactions beyond the cap.
 //!
 //! # Examples
 //!
@@ -140,48 +138,6 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
-    /// Removes and returns the element at `index` by swapping the last
-    /// element into its place. O(1); does not preserve order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len`.
-    pub fn swap_remove(&mut self, index: usize) -> T {
-        if let Some(v) = &mut self.spill {
-            return v.swap_remove(index);
-        }
-        assert!(index < self.len, "swap_remove index out of bounds");
-        let last = self.len - 1;
-        self.as_mut_slice().swap(index, last);
-        self.len -= 1;
-        // SAFETY: the slot at the old last position was initialized.
-        unsafe { self.inline[self.len].assume_init() }
-    }
-
-    /// Removes the first element equal to `value`, if present; returns
-    /// whether one was removed. Order is not preserved.
-    pub fn remove_value(&mut self, value: &T) -> bool
-    where
-        T: PartialEq,
-    {
-        match self.as_slice().iter().position(|x| x == value) {
-            Some(i) => {
-                self.swap_remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether any element equals `value`.
-    #[inline]
-    pub fn contains(&self, value: &T) -> bool
-    where
-        T: PartialEq,
-    {
-        self.as_slice().contains(value)
-    }
-
     /// Iterator over the elements.
     #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
@@ -205,16 +161,6 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
 impl<T: Copy, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         InlineVec::new()
-    }
-}
-
-impl<T: Copy, const N: usize> Clone for InlineVec<T, N> {
-    fn clone(&self) -> Self {
-        InlineVec {
-            len: self.len,
-            inline: self.inline,
-            spill: self.spill.clone(),
-        }
     }
 }
 
@@ -292,32 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_remove_inline_and_spilled() {
-        let mut v: InlineVec<u32, 2> = InlineVec::new();
-        v.push(10);
-        v.push(20);
-        assert_eq!(v.swap_remove(0), 10);
-        assert_eq!(v.as_slice(), &[20]);
-        for i in 0..5 {
-            v.push(i);
-        }
-        assert!(v.spilled());
-        let removed = v.swap_remove(1);
-        assert!(!v.contains(&removed));
-        assert_eq!(v.len(), 5);
-    }
-
-    #[test]
-    fn remove_value_semantics() {
-        let mut v: InlineVec<u32, 4> = InlineVec::new();
-        v.push(5);
-        v.push(6);
-        assert!(v.remove_value(&5));
-        assert!(!v.remove_value(&5));
-        assert_eq!(v.as_slice(), &[6]);
-    }
-
-    #[test]
     fn clear_retains_spill_capacity() {
         let mut v: InlineVec<u32, 2> = InlineVec::new();
         for i in 0..8 {
@@ -331,11 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_eq() {
-        let mut v: InlineVec<u32, 3> = InlineVec::new();
-        v.push(1);
-        v.push(2);
-        let w = v.clone();
+    fn eq_compares_contents() {
+        let v: InlineVec<u32, 3> = [1, 2].into_iter().collect();
+        let w: InlineVec<u32, 3> = [1, 2].into_iter().collect();
         assert_eq!(v, w);
         let empty: InlineVec<u32, 3> = InlineVec::new();
         assert_ne!(v, empty);
